@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -27,6 +28,28 @@ import (
 	"traxtents/internal/repro"
 	"traxtents/internal/workload/driver"
 )
+
+// writeBench writes one BENCH_*.json report into the directory named
+// by BENCH_OUT, and nowhere when it is unset: the gates that produce
+// each report run on every test run, but only a run that asks for the
+// snapshots writes them, so go test leaves the source tree alone.
+func writeBench(t *testing.T, name string, report any) {
+	t.Helper()
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := os.Getenv("BENCH_OUT")
+	if dir == "" {
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // BenchmarkTable1Models builds every Table 1 disk model (geometry walk,
 // layout table, seek calibration).
@@ -491,13 +514,7 @@ func TestBenchDeviceJSON(t *testing.T) {
 	if a, b := report.Rows[0].MeanServiceMs, report.Rows[1].MeanServiceMs; b > 3*a {
 		t.Errorf("striped mean service %.2f ms vs sim %.2f ms", b, a)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_device.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_device.json", report)
 }
 
 // ---- Hot-path microbench suite (BENCH_sim.json) ----
@@ -681,13 +698,7 @@ func TestBenchSimJSON(t *testing.T) {
 		t.Errorf("sim hot path %.0f ns/req, want >= 3x below the PR-1 baseline (%.0f ns/req)",
 			report.Rows[0].WallNsPerReq, baselinePR1RecordedNsPerReq)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sim.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_sim.json", report)
 }
 
 // ---- Multi-tenant volume server (BENCH_volume.json) ----
@@ -837,13 +848,7 @@ func TestBenchVolumeJSON(t *testing.T) {
 			t.Errorf("%s: steady-state ServeTenant allocates %.1f per request, want 0", tier.name, allocs)
 		}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_volume.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_volume.json", report)
 }
 
 // ---- Global event core at fleet scale (BENCH_events.json) ----
@@ -1019,13 +1024,7 @@ func TestBenchEventsJSON(t *testing.T) {
 		t.Errorf("event fleet %.0f ns/req, want strictly below the same-run sim baseline %.0f ns/req",
 			fcfs.WallNsPerReq, report.SimBaselineNsPerReq)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_events.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_events.json", report)
 }
 
 // ---- Trace pipeline at capture scale (BENCH_replay.json) ----
@@ -1263,13 +1262,7 @@ func TestBenchReplayJSON(t *testing.T) {
 		t.Errorf("replay %.0f req/s, want >= 1M req/s steady state", report.ReplayReqPerSec)
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_replay.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_replay.json", report)
 }
 
 // ---- Degraded-mode rebuild (BENCH_rebuild.json) ----
@@ -1372,13 +1365,7 @@ func TestBenchRebuildJSON(t *testing.T) {
 		}
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_rebuild.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_rebuild.json", report)
 }
 
 // ---- Zoned and flash backends (BENCH_zoned.json) ----
@@ -1597,11 +1584,5 @@ func TestBenchZonedJSON(t *testing.T) {
 		}
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_zoned.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBench(t, "BENCH_zoned.json", report)
 }

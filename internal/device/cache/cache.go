@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"traxtents/internal/device"
-	"traxtents/internal/device/event"
-	"traxtents/internal/device/sched"
 	"traxtents/internal/disk/geom"
 )
 
@@ -199,12 +197,10 @@ type Cache struct {
 	hitSectorMs float64
 	bypass      bool
 
-	// lazyInner marks a wrapped device whose Submit/Drain path the
-	// cache can ride (sched.Queue, striped.Array): forwarded traffic is
-	// submitted lazily and resolved by Drain. Any other inner — another
-	// Cache included — is served synchronously, so its completions can
-	// never go unrouted.
-	lazyInner bool
+	// batch is the wrapped device as a device.Batch, nil when it is not
+	// one. Over a batch inner, forwarded traffic is submitted lazily and
+	// resolved at drain; any other inner serves it synchronously.
+	batch device.Batch
 
 	lines map[int]*line
 	prob  lruList // probationary segment (the only list under plain LRU)
@@ -217,25 +213,23 @@ type Cache struct {
 	portFree  float64 // host-port serialization clock for hits
 	err       error   // sticky inner failure
 
-	// Submit/Drain batch state (submit.go). settleFn is the prebound
-	// ConsumeCompleted fold, so repeated drains allocate nothing.
-	pend     []slot
-	routes   map[int]route
-	settleFn func(*sched.Completion)
-
-	// Event-core citizenship (submit.go): when the wrapped device is a
-	// sched.Queue the cache owns a discrete-event core whose single
-	// fleet slot is that queue, so Drain commits the queue's dispatch
-	// decisions as (time, seq)-ordered events rather than one opaque
-	// flush. A striped.Array inner brings its own core.
-	core  *event.Core
-	fleet *event.Queues
+	// Submit/Drain batch state (submit.go): pend holds the outstanding
+	// requests' slots, the last numbered nextSeq-1; routes[i] is the
+	// cache-level meaning of inner sequence number routeBase+i, and
+	// inflight counts those not yet resolved. settleFn is the prebound
+	// inner DrainEach fold, so repeated drains allocate nothing.
+	pend      []slot
+	nextSeq   int
+	routes    []route
+	routeBase int
+	inflight  int
+	settleFn  func(int, *device.Result)
 
 	stats Stats
 }
 
 var (
-	_ device.Device           = (*Cache)(nil)
+	_ device.Batch            = (*Cache)(nil)
 	_ device.Rotational       = (*Cache)(nil)
 	_ device.BoundaryProvider = (*Cache)(nil)
 	_ device.Mapped           = (*Cache)(nil)
@@ -296,11 +290,8 @@ func New(d device.Device, opts ...Option) (*Cache, error) {
 	if cfg.hitMBps > 0 {
 		c.hitSectorMs = float64(d.SectorSize()) / (cfg.hitMBps * 1000)
 	}
-	c.lazyInner = isLazyInner(d)
-	if q, ok := d.(*sched.Queue); ok {
-		c.core = event.New()
-		c.fleet = event.NewQueues(c.core, []*sched.Queue{q}, nil)
-	}
+	c.batch, _ = d.(device.Batch)
+	c.settleFn = c.settle
 	if bp, ok := d.(device.BoundaryProvider); ok {
 		if b := bp.TrackBoundaries(); len(b) >= 2 {
 			c.bounds = b
@@ -374,152 +365,23 @@ func (c *Cache) lineEnd(i int) int64 {
 
 // ---- device.Device ----
 
-// Serve services one request synchronously. Requests must be issued in
-// non-decreasing time order (the same contract as sched.Queue and the
-// striped array); a request is validated before any state changes, so a
-// rejected request leaves the cache and the wrapped device untouched.
+// Serve services one request as a batch of one: Submit, then drain.
+// Requests must be issued in non-decreasing time order (the same
+// contract as sched.Queue and the striped array); a request is
+// validated before any state changes, so a rejected request leaves the
+// cache and the wrapped device untouched.
 func (c *Cache) Serve(at float64, req device.Request) (device.Result, error) {
-	if c.err != nil {
-		return device.Result{}, c.err
-	}
-	if err := device.CheckRequest(c, req); err != nil {
-		return device.Result{}, err
-	}
-	if at < c.lastIssue {
-		return device.Result{}, fmt.Errorf("cache: issue time %g before previous %g", at, c.lastIssue)
-	}
 	if len(c.pend) > 0 {
 		return device.Result{}, fmt.Errorf("cache: %d submitted requests outstanding; Drain before Serve", len(c.pend))
 	}
-	c.lastIssue = at
-	c.op++
-	if req.Write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
-	// Restore the budget before anything is shielded: a previous
-	// request's merge may have grown its own (then-shielded) lines past
-	// the budget, and a hit-only steady state would otherwise never
-	// evict the excess.
-	if err := c.evict(at); err != nil {
+	if _, err := c.Submit(at, req); err != nil {
 		return device.Result{}, err
 	}
-
-	if c.bypass || req.FUA {
-		return c.serveBypass(at, req)
-	}
-	if req.Write {
-		return c.serveWrite(at, req)
-	}
-	return c.serveRead(at, req)
-}
-
-// serveBypass forwards a request untouched. A FUA write still makes
-// overlapping cached lines stale, so they are dropped (dirty ranges
-// the write does not fully supersede are flushed first); a FUA read
-// must observe the device, so overlapping dirty lines are written
-// back before it is forwarded.
-func (c *Cache) serveBypass(at float64, req device.Request) (device.Result, error) {
-	if req.FUA && !c.bypass {
-		end := req.LBN + int64(req.Sectors)
-		if req.Write {
-			if err := c.invalidateRange(at, req.LBN, end); err != nil {
-				return device.Result{}, err
-			}
-		} else if err := c.flushRange(at, req.LBN, end); err != nil {
-			return device.Result{}, err
-		}
-	}
-	res, err := c.inner.Serve(at, req)
-	if err != nil {
+	if err := c.resolveAll(); err != nil {
 		return device.Result{}, err
 	}
-	c.stats.Bypassed++
-	c.noteDone(res.Done)
-	return res, nil
-}
-
-// serveRead services a read: a full hit is served from the host port;
-// a miss fills through the wrapped device, promoted to whole-line
-// (whole-track) fills under readahead.
-func (c *Cache) serveRead(at float64, req device.Request) (device.Result, error) {
-	end := req.LBN + int64(req.Sectors)
-	first, last := c.lineOf(req.LBN), c.lineOf(end-1)
-	if c.covered(first, last, req.LBN, end) {
-		c.touchLines(first, last)
-		c.stats.Hits++
-		return c.portResult(at, req), nil
-	}
-	fillLBN, fillEnd := req.LBN, end
-	if c.readahead {
-		fillLBN, fillEnd = c.lineStart(first), c.lineEnd(last)
-	}
-	if fillEnd-fillLBN > c.capSectors {
-		// Larger than the whole budget: serve the demand uncached —
-		// bypass traffic, not a demand miss.
-		c.stats.Bypassed++
-		res, err := c.inner.Serve(at, req)
-		if err != nil {
-			return device.Result{}, err
-		}
-		c.noteDone(res.Done)
-		return res, nil
-	}
-	c.stats.Misses++
-
-	// Admit (evicting, flushing victims) before the fill so the fill's
-	// timing queues behind any writeback traffic on the device.
-	if err := c.admitRange(at, fillLBN, fillEnd, false); err != nil {
-		return device.Result{}, err
-	}
-	fill := device.Request{LBN: fillLBN, Sectors: int(fillEnd - fillLBN)}
-	res, err := c.inner.Serve(at, fill)
-	if err != nil {
-		c.err = fmt.Errorf("cache: fill %+v: %w", fill, err)
-		return device.Result{}, c.err
-	}
-	c.stats.FillReads++
-	c.stats.FillSectors += fillEnd - fillLBN
-	c.stats.ReadaheadSectors += (fillEnd - fillLBN) - int64(req.Sectors)
-	res.Req = req
-	c.noteDone(res.Done)
-	return res, nil
-}
-
-// serveWrite services a write: write-back absorbs it into dirty lines
-// at host-port cost; write-through forwards it and write-allocates, so
-// read-your-writes hits in both modes. Writes larger than the whole
-// budget forward uncached (overlapping lines are dropped as stale).
-func (c *Cache) serveWrite(at float64, req device.Request) (device.Result, error) {
-	end := req.LBN + int64(req.Sectors)
-	if int64(req.Sectors) > c.capSectors {
-		c.stats.Bypassed++
-		if err := c.invalidateRange(at, req.LBN, end); err != nil {
-			return device.Result{}, err
-		}
-		res, err := c.inner.Serve(at, req)
-		if err != nil {
-			return device.Result{}, err
-		}
-		c.noteDone(res.Done)
-		return res, nil
-	}
-	if c.writeBack {
-		if err := c.admitRange(at, req.LBN, end, true); err != nil {
-			return device.Result{}, err
-		}
-		c.stats.Absorbed++
-		return c.portResult(at, req), nil
-	}
-	res, err := c.inner.Serve(at, req)
-	if err != nil {
-		return device.Result{}, err
-	}
-	if aerr := c.admitRange(at, req.LBN, end, false); aerr != nil {
-		return device.Result{}, aerr
-	}
-	c.noteDone(res.Done)
+	res := c.pend[0].res
+	c.pend = c.pend[:0]
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"traxtents/internal/device/cache"
 	"traxtents/internal/device/sched"
 	"traxtents/internal/device/trace"
+	"traxtents/internal/device/zoned"
 	"traxtents/internal/disk/model"
 	"traxtents/internal/disk/sim"
 )
@@ -390,7 +392,7 @@ func TestServeDuringBatchRefused(t *testing.T) {
 		t.Fatalf("sched.New: %v", err)
 	}
 	c := newCached(t, q, cache.WithCapacityMB(1))
-	if err := c.Submit(0, device.Request{LBN: 0, Sectors: 8}); err != nil {
+	if _, err := c.Submit(0, device.Request{LBN: 0, Sectors: 8}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if _, err := c.Serve(1, device.Request{LBN: 64, Sectors: 8}); err == nil {
@@ -433,10 +435,10 @@ func TestAccessorsAndSubmitBypass(t *testing.T) {
 	if c.Err() != nil {
 		t.Fatalf("fresh cache has a sticky error: %v", c.Err())
 	}
-	if err := c.Submit(0, device.Request{LBN: 0, Sectors: 8}); err != nil {
+	if _, err := c.Submit(0, device.Request{LBN: 0, Sectors: 8}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := c.Submit(1, device.Request{LBN: 64, Sectors: 8, Write: true, FUA: true}); err != nil {
+	if _, err := c.Submit(1, device.Request{LBN: 64, Sectors: 8, Write: true, FUA: true}); err != nil {
 		t.Fatalf("Submit FUA: %v", err)
 	}
 	if c.Outstanding() != 2 {
@@ -458,7 +460,7 @@ func TestAccessorsAndSubmitBypass(t *testing.T) {
 	s0, n0 := track(t, c2, 0)
 	at := 0.0
 	serve(t, c2, &at, device.Request{LBN: s0, Sectors: n0})
-	if err := c2.Submit(at, device.Request{LBN: s0, Sectors: 8, Write: true, FUA: true}); err != nil {
+	if _, err := c2.Submit(at, device.Request{LBN: s0, Sectors: 8, Write: true, FUA: true}); err != nil {
 		t.Fatalf("Submit FUA: %v", err)
 	}
 	if _, err := c2.Drain(); err != nil {
@@ -469,10 +471,9 @@ func TestAccessorsAndSubmitBypass(t *testing.T) {
 	}
 }
 
-// TestCacheOverCacheSubmitDrain: an unknown-submitter inner (another
-// Cache) takes the synchronous forward path, so a stacked cache's
-// Submit/Drain batch resolves completely instead of stranding inner
-// submissions.
+// TestCacheOverCacheSubmitDrain: a cache over another cache rides the
+// inner cache's own Submit/DrainEach path, and the stacked batch
+// resolves completely instead of stranding inner submissions.
 func TestCacheOverCacheSubmitDrain(t *testing.T) {
 	inner := newCached(t, newBareSim(t, 1), cache.WithCapacityMB(1))
 	outer := newCached(t, inner, cache.WithCapacityMB(1), cache.WithReadahead(false))
@@ -480,7 +481,7 @@ func TestCacheOverCacheSubmitDrain(t *testing.T) {
 	s3, _ := track(t, outer, 3)
 	at := 0.0
 	for i, lbn := range []int64{s0, s3, s0} {
-		if err := outer.Submit(at+float64(i), device.Request{LBN: lbn, Sectors: 8}); err != nil {
+		if _, err := outer.Submit(at+float64(i), device.Request{LBN: lbn, Sectors: 8}); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
@@ -561,5 +562,62 @@ func TestOverBudgetReadNotAMiss(t *testing.T) {
 	serve(t, c, &at, device.Request{LBN: s0, Sectors: n0})
 	if st := c.Stats(); st.Misses != 0 || st.Bypassed != 1 || st.HitRate() != 0 {
 		t.Fatalf("over-budget read miscounted: %+v", st)
+	}
+}
+
+// TestRejectedForwardNotSticky: a request the wrapped device rejects
+// when the cache forwards it untouched (here a write off a zone's
+// write pointer) fails alone. Submit returns the device's own error
+// and keeps no slot for it, Stats read as after the same rejection
+// through Serve, and the cache goes on serving: the batch it was part
+// of still drains.
+func TestRejectedForwardNotSticky(t *testing.T) {
+	mk := func() *cache.Cache {
+		f, err := zoned.NewFlash(64 * 1024)
+		if err != nil {
+			t.Fatalf("NewFlash: %v", err)
+		}
+		z, err := zoned.New(f, zoned.WithZones(16))
+		if err != nil {
+			t.Fatalf("zoned.New: %v", err)
+		}
+		return newCached(t, z, cache.WithCapacityMB(4))
+	}
+	bad := device.Request{LBN: 100, Sectors: 8, Write: true}
+	good := device.Request{LBN: 0, Sectors: 8, Write: true}
+
+	viaServe := mk()
+	if _, err := viaServe.Serve(0, bad); !errors.Is(err, device.ErrZoneViolation) {
+		t.Fatalf("Serve of an off-pointer write: %v, want a zone violation", err)
+	}
+
+	c := mk()
+	if _, err := c.Submit(0, bad); !errors.Is(err, device.ErrZoneViolation) {
+		t.Fatalf("Submit of an off-pointer write: %v, want a zone violation", err)
+	}
+	if n := c.Outstanding(); n != 0 {
+		t.Fatalf("rejected request left %d outstanding", n)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("rejected forward set the sticky error: %v", err)
+	}
+	if got, want := c.Stats(), viaServe.Stats(); got != want {
+		t.Fatalf("stats after the rejection %+v, want %+v as through Serve", got, want)
+	}
+	seq, err := c.Submit(1, good)
+	if err != nil {
+		t.Fatalf("Submit after a rejection: %v", err)
+	}
+	var drained []int
+	if err := c.DrainEach(func(s int, r *device.Result) {
+		drained = append(drained, s)
+		if r.Req != good {
+			t.Errorf("drained %+v, want %+v", r.Req, good)
+		}
+	}); err != nil {
+		t.Fatalf("DrainEach: %v", err)
+	}
+	if len(drained) != 1 || drained[0] != seq {
+		t.Fatalf("drained seqs %v, want [%d]", drained, seq)
 	}
 }

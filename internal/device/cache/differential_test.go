@@ -136,7 +136,7 @@ func TestSubmitDrainMatchesServe(t *testing.T) {
 		c := newCached(t, q, cache.WithCapacityMB(1), cache.WithWriteBack(true))
 		ats, reqs := mkReqs(c)
 		for i := range reqs {
-			if err := c.Submit(ats[i], reqs[i]); err != nil {
+			if _, err := c.Submit(ats[i], reqs[i]); err != nil {
 				t.Fatalf("Submit %d: %v", i, err)
 			}
 		}
@@ -198,7 +198,7 @@ func TestSubmitDrainOverStriped(t *testing.T) {
 		c := newCached(t, mkArray(), cache.WithCapacityMB(1))
 		at := 0.0
 		for _, req := range mkReqs(c) {
-			if err := c.Submit(at, req); err != nil {
+			if _, err := c.Submit(at, req); err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
 			at += 1.5

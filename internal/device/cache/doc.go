@@ -11,11 +11,14 @@
 //
 // The cache wraps any backend (simulator, striped array, trace replay,
 // sched.Queue) and is itself a device.Device forwarding the wrapped
-// device's capabilities, so it slots in anywhere in the stack: the
-// canonical composition (package stack, used by the application
-// layers) puts it outermost, over the scheduling queue (cache → queue
-// → device), so hits resolve at host-port speed while misses and fills
-// ride the queue's lazy dispatch via Submit/Drain; the inverse order
+// device's capabilities, so it slots in anywhere in the stack. It has
+// one request path, the device.Batch contract (Submit/DrainEach);
+// Serve is a batch of one. Over a device.Batch inner, misses, fills,
+// and writebacks go through the inner Submit, so the inner scheduler
+// orders them. The canonical composition (package stack, used by the
+// application layers) puts it outermost, over the scheduling queue
+// (cache → queue → device), so hits resolve at host-port speed while
+// misses and fills ride the queue's lazy dispatch; the inverse order
 // (queue → cache → disk, as in repro.CacheStudy) lets the scheduler
 // reorder the miss stream instead. Policies: LRU or segmented-LRU (SLRU)
 // eviction over a sector budget, write-through (write-allocate) or

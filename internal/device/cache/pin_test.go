@@ -86,15 +86,18 @@ func pinDigest(t *testing.T, c *cache.Cache, n int, seed int64) string {
 }
 
 // TestServePin pins every Result and the final Stats of a seeded
-// 3000-request stream through Serve, per composition. The pins were
-// taken from the cache's original synchronous Serve path and hold
-// across its derivation from Submit/DrainEach, except where a batch of
-// one is meant to differ:
+// 3000-request stream through Serve, per composition. Serve is a batch
+// of one, so over a reordering inner it behaves as a batch does:
 //   - write-back over a reordering queue (CLOOK depth 8, SSTF depth 4):
-//     an eviction's writeback and the fill are ordered by the queue's
-//     scheduler, as in any batch (line state and Stats are unchanged);
+//     an eviction's writeback and the fill that follows it are ordered
+//     by the queue's scheduler;
 //   - over an array with queued children: the array joins spans
-//     child-major, which moves BusTime of multi-span requests by an ulp.
+//     child-major, so BusTime of a multi-span request is summed in
+//     child order.
+//
+// The other compositions have nothing to reorder: a write-through
+// request sends a queue at most one inner request, and the bare disk
+// and the plain and parity arrays serve inner requests in issue order.
 func TestServePin(t *testing.T) {
 	clook := func(t *testing.T) device.Device { return pinQueue(t, 8, sched.CLOOK()) }
 	sstf := func(t *testing.T) device.Device { return pinQueue(t, 4, sched.SSTF()) }
@@ -106,11 +109,11 @@ func TestServePin(t *testing.T) {
 		{name: "wt/sstf-d4", inner: sstf, digest: "2ee445672d8a0af1"},
 		{name: "wb/sim", writeBack: true, inner: func(t *testing.T) device.Device { return newSim(t, 4) }, digest: "48e5aac5c72af274"},
 		{name: "wb/striped", writeBack: true, inner: func(t *testing.T) device.Device { return pinArray(t) }, digest: "c5220a0a09a4eb31"},
-		{name: "wb/clook-d8", writeBack: true, inner: clook, digest: "779a58ec8e3dacc1"},
-		{name: "wb/sstf-d4", writeBack: true, inner: sstf, digest: "779a58ec8e3dacc1"},
+		{name: "wb/clook-d8", writeBack: true, inner: clook, digest: "5e21f7a9f559a205"},
+		{name: "wb/sstf-d4", writeBack: true, inner: sstf, digest: "db72caca1663c6f4"},
 		{name: "wt/striped-queued", inner: func(t *testing.T) device.Device {
 			return pinArray(t, striped.WithQueuedChildren(sched.WithDepth(4), sched.WithScheduler(sched.CLOOK())))
-		}, digest: "7b043a133a7b5edd"},
+		}, digest: "86b438f149c2e7fc"},
 	}
 	for _, p := range pins {
 		t.Run(p.name, func(t *testing.T) {

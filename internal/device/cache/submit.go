@@ -1,23 +1,21 @@
-// Submit/Drain: the cache's concurrent-composition path. When the
-// wrapped device is itself lazy — a sched.Queue whose scheduler must
-// see a batch of arrivals before dispatching, or a striped array whose
-// queued children reorder their own span streams — the synchronous
-// Serve barrier would destroy exactly the concurrency those layers
-// exist to express. Submit applies the full line-state machine (hit
-// detection, fills, allocation, eviction, writeback) at submission
-// time, serves hits from the host port, and forwards misses, fills,
-// and writebacks to the wrapped device's own Submit; Drain resolves
-// the inner completions and returns every result in submission order.
+// Submit/DrainEach is the cache's one request path (device.Batch);
+// Serve is a batch of one. Submit applies the full line-state machine
+// (hit detection, fills, allocation, eviction, writeback) at
+// submission time and serves hits from the host port. Misses, fills,
+// and writebacks go to the wrapped device's own Submit when it is a
+// device.Batch — a queue's scheduler, or an array's queued children,
+// must see them together to reorder them — and are served
+// synchronously otherwise; DrainEach drains the wrapped device and
+// reports every result in submission order.
 //
 // Line state therefore never depends on inner timing — only the
-// *timing* of fills and forwards resolves at Drain. That is what makes
-// the policy deterministic, and it pins the lazy path bit-identical to
-// the synchronous Serve path over a passthrough inner device (the
-// differential test mirrors the striped array's equivalent pin). The
-// cost is virtual-time optimism: a read that hits a just-filled line
-// completes at port speed even though the fill's media access may be
-// scheduled later by the inner queue. Everything runs on the caller's
-// goroutine, so a batch is bit-identical at any GOMAXPROCS.
+// *timing* of fills and forwards resolves at drain — which keeps the
+// policy deterministic and the results independent of how requests
+// are grouped into batches over an inner device that does not reorder.
+// The cost is virtual-time optimism: a read that hits a just-filled
+// line completes at port speed even though the fill's media access may
+// be scheduled later by the inner queue. Everything runs on the
+// caller's goroutine, so a batch is bit-identical at any GOMAXPROCS.
 
 package cache
 
@@ -25,29 +23,10 @@ import (
 	"fmt"
 
 	"traxtents/internal/device"
-	"traxtents/internal/device/sched"
-	"traxtents/internal/device/striped"
 )
 
-// submitter is a wrapped device with a lazy submission path.
-type submitter interface {
-	Submit(at float64, req device.Request) error
-}
-
-// isLazyInner reports whether the cache knows how to route the
-// device's Drain results back to its own submissions. Only the two
-// types below qualify; everything else — other submitters included —
-// is served synchronously.
-func isLazyInner(d device.Device) bool {
-	switch d.(type) {
-	case *sched.Queue, *striped.Array:
-		return true
-	}
-	return false
-}
-
 // slot is one submitted request's result, filled either immediately
-// (hits, absorbs, plain-device forwards) or at Drain.
+// (hits, absorbs, forwards to a synchronous device) or at drain.
 type slot struct {
 	filled bool
 	res    device.Result
@@ -57,8 +36,9 @@ type routeKind int
 
 const (
 	routeForward routeKind = iota // bypass / FUA / unexpanded miss
-	routeFill                     // line fill: settle lines at Drain
+	routeFill                     // line fill: report as the demand request
 	routeFlush                    // dirty writeback: timing only
+	routeDone                     // resolved, or a number this batch never used
 )
 
 // route maps one inner submission back to its cache-level meaning.
@@ -68,22 +48,22 @@ type route struct {
 	req  device.Request
 }
 
-// Submit enqueues a request issued at the given host time on the
-// concurrent path. Hit/miss is decided against the current line state;
-// inner traffic (fills, forwards, writebacks) goes through the wrapped
-// device's Submit when it has one (sched.Queue, striped.Array) and is
-// served synchronously otherwise. Issue times must be non-decreasing
-// across Submit/Serve calls. The wrapped device must not be driven
-// directly while a batch is outstanding.
-func (c *Cache) Submit(at float64, req device.Request) error {
+// Submit enqueues a request issued at the given host time and returns
+// its sequence number; hit/miss is decided against the current line
+// state. Issue times must be non-decreasing across Submit/Serve calls,
+// and the wrapped device must not be driven directly while a batch is
+// outstanding. A request the wrapped device rejects when it is
+// forwarded untouched returns the device's error and leaves no slot
+// behind; a failed fill or writeback is sticky.
+func (c *Cache) Submit(at float64, req device.Request) (int, error) {
 	if c.err != nil {
-		return c.err
+		return 0, c.err
 	}
 	if err := device.CheckRequest(c, req); err != nil {
-		return err
+		return 0, err
 	}
 	if at < c.lastIssue {
-		return fmt.Errorf("cache: issue time %g before previous %g", at, c.lastIssue)
+		return 0, fmt.Errorf("cache: issue time %g before previous %g", at, c.lastIssue)
 	}
 	c.lastIssue = at
 	c.op++
@@ -92,33 +72,56 @@ func (c *Cache) Submit(at float64, req device.Request) error {
 	} else {
 		c.stats.Reads++
 	}
-	// Restore the budget before anything is shielded (see Serve).
+	// Restore the budget before anything is shielded: a previous
+	// request's merge may have grown its own (then-shielded) lines past
+	// the budget, and a hit-only steady state would otherwise never
+	// evict the excess.
 	if err := c.evict(at); err != nil {
-		return err
+		return 0, err
 	}
 	pos := len(c.pend)
 	c.pend = append(c.pend, slot{})
-
-	if c.bypass || req.FUA {
-		if req.FUA && !c.bypass {
-			end := req.LBN + int64(req.Sectors)
-			if req.Write {
-				if err := c.invalidateRange(at, req.LBN, end); err != nil {
-					return err
-				}
-			} else if err := c.flushRange(at, req.LBN, end); err != nil {
-				return err
-			}
-		}
-		c.stats.Bypassed++
-		return c.forward(at, req, pos)
+	if err := c.dispatch(at, req, pos); err != nil {
+		c.pend = c.pend[:pos]
+		return 0, err
 	}
-	if req.Write {
-		return c.submitWrite(at, req, pos)
-	}
-	return c.submitRead(at, req, pos)
+	c.nextSeq++
+	return c.nextSeq - 1, nil
 }
 
+// dispatch runs one request through the line-state machine into slot
+// pos.
+func (c *Cache) dispatch(at float64, req device.Request, pos int) error {
+	if !c.bypass && !req.FUA {
+		if req.Write {
+			return c.submitWrite(at, req, pos)
+		}
+		return c.submitRead(at, req, pos)
+	}
+	// A FUA write makes overlapping cached lines stale, so they are
+	// dropped (dirty ranges the write does not fully supersede are
+	// flushed first); a FUA read must observe the device, so
+	// overlapping dirty lines are written back before it is forwarded.
+	if req.FUA && !c.bypass {
+		end := req.LBN + int64(req.Sectors)
+		if req.Write {
+			if err := c.invalidateRange(at, req.LBN, end); err != nil {
+				return err
+			}
+		} else if err := c.flushRange(at, req.LBN, end); err != nil {
+			return err
+		}
+	}
+	if err := c.forward(at, req, pos); err != nil {
+		return err
+	}
+	c.stats.Bypassed++
+	return nil
+}
+
+// submitRead services a read: a full hit is served from the host port;
+// a miss fills through the wrapped device, promoted to whole-line
+// (whole-track) fills under readahead.
 func (c *Cache) submitRead(at float64, req device.Request, pos int) error {
 	end := req.LBN + int64(req.Sectors)
 	first, last := c.lineOf(req.LBN), c.lineOf(end-1)
@@ -133,20 +136,32 @@ func (c *Cache) submitRead(at float64, req device.Request, pos int) error {
 		fillLBN, fillEnd = c.lineStart(first), c.lineEnd(last)
 	}
 	if fillEnd-fillLBN > c.capSectors {
+		// Larger than the whole budget: serve the demand uncached —
+		// bypass traffic, not a demand miss.
 		c.stats.Bypassed++
 		return c.forward(at, req, pos)
 	}
 	c.stats.Misses++
+	// Admit (evicting, flushing victims) before the fill so the fill
+	// queues behind any writeback traffic on the device.
 	if err := c.admitRange(at, fillLBN, fillEnd, false); err != nil {
 		return err
+	}
+	fill := device.Request{LBN: fillLBN, Sectors: int(fillEnd - fillLBN)}
+	if err := c.forwardAs(at, fill, route{kind: routeFill, pos: pos, req: req}); err != nil {
+		c.err = fmt.Errorf("cache: fill %+v: %w", fill, err)
+		return c.err
 	}
 	c.stats.FillReads++
 	c.stats.FillSectors += fillEnd - fillLBN
 	c.stats.ReadaheadSectors += (fillEnd - fillLBN) - int64(req.Sectors)
-	fill := device.Request{LBN: fillLBN, Sectors: int(fillEnd - fillLBN)}
-	return c.forwardAs(at, fill, route{kind: routeFill, pos: pos, req: req})
+	return nil
 }
 
+// submitWrite services a write: write-back absorbs it into dirty lines
+// at host-port cost; write-through forwards it and write-allocates, so
+// read-your-writes hits in both modes. Writes larger than the whole
+// budget forward uncached (overlapping lines are dropped as stale).
 func (c *Cache) submitWrite(at float64, req device.Request, pos int) error {
 	end := req.LBN + int64(req.Sectors)
 	if int64(req.Sectors) > c.capSectors {
@@ -175,189 +190,136 @@ func (c *Cache) forward(at float64, req device.Request, pos int) error {
 	return c.forwardAs(at, req, route{kind: routeForward, pos: pos, req: req})
 }
 
-// forwardAs hands an inner request (the caller's own, or an expanded
-// fill) to the wrapped device — lazily when its Submit/Drain path is
-// known (sched.Queue, striped.Array), serving synchronously otherwise
-// — and records how to resolve the completion.
+// forwardAs hands an inner request (the caller's own, an expanded
+// fill, or a writeback) to the wrapped device — through its Submit
+// when it is a device.Batch, served synchronously otherwise — and
+// records how to resolve the completion. Errors are the device's own.
 func (c *Cache) forwardAs(at float64, inner device.Request, rt route) error {
-	if c.lazyInner {
-		s := c.inner.(submitter)
-		key := c.innerKeyNext()
-		if err := s.Submit(at, inner); err != nil {
-			c.err = fmt.Errorf("cache: submit %+v: %w", inner, err)
-			return c.err
-		}
-		if err := c.touchInner(); err != nil {
+	if c.batch == nil {
+		res, err := c.inner.Serve(at, inner)
+		if err != nil {
 			return err
 		}
-		if c.routes == nil {
-			c.routes = make(map[int]route)
-		}
-		c.routes[key] = rt
+		c.resolve(rt, &res)
 		return nil
 	}
-	res, err := c.inner.Serve(at, inner)
+	seq, err := c.batch.Submit(at, inner)
 	if err != nil {
-		c.err = fmt.Errorf("cache: dispatch %+v: %w", inner, err)
-		return c.err
+		return err
 	}
-	c.resolve(rt, res)
+	if len(c.routes) == 0 {
+		c.routeBase = seq
+	}
+	for c.routeBase+len(c.routes) < seq {
+		c.routes = append(c.routes, route{kind: routeDone})
+	}
+	c.routes = append(c.routes, rt)
+	c.inflight++
 	return nil
 }
 
-// innerFlush issues one dirty writeback: lazily inside a batch when
-// the wrapped device can Submit, synchronously otherwise.
+// innerFlush issues one dirty writeback: inside a batch it is inner
+// traffic like any other; outside one (FlushDirty, or the budget
+// restore ahead of a request) it completes synchronously.
 func (c *Cache) innerFlush(at float64, req device.Request) error {
-	if len(c.pend) > 0 && c.lazyInner {
-		s := c.inner.(submitter)
-		key := c.innerKeyNext()
-		if err := s.Submit(at, req); err != nil {
-			return err
-		}
-		if err := c.touchInner(); err != nil {
-			return err
-		}
-		if c.routes == nil {
-			c.routes = make(map[int]route)
-		}
-		c.routes[key] = route{kind: routeFlush, pos: -1}
-		return nil
+	rt := route{kind: routeFlush, pos: -1}
+	if len(c.pend) > 0 {
+		return c.forwardAs(at, req, rt)
 	}
 	res, err := c.inner.Serve(at, req)
 	if err != nil {
 		return err
 	}
-	c.noteDone(res.Done)
+	c.resolve(rt, &res)
 	return nil
-}
-
-// touchInner reschedules the inner queue's decision event after a lazy
-// submission moved its decision point. A striped.Array inner touches
-// its own fleet inside Array.Submit; a plain queue is the cache's one
-// fleet slot.
-func (c *Cache) touchInner() error {
-	if c.fleet == nil {
-		return nil
-	}
-	if err := c.fleet.Touch(0); err != nil {
-		c.err = fmt.Errorf("cache: submit: %w", err)
-		return c.err
-	}
-	return nil
-}
-
-// innerKeyNext returns the key under which the wrapped device will
-// report the next submission: a sched.Queue names completions by its
-// global submission sequence, a striped array by ordinal within the
-// outstanding batch. Read live (not mirrored), so the cache's own
-// synchronous traffic through the same device stays consistent.
-func (c *Cache) innerKeyNext() int {
-	switch d := c.inner.(type) {
-	case *sched.Queue:
-		return d.Stats().Submitted
-	case *striped.Array:
-		return d.Outstanding()
-	}
-	return 0
 }
 
 // Outstanding returns the number of submitted requests awaiting Drain.
 func (c *Cache) Outstanding() int { return len(c.pend) }
 
 // resolve settles one inner completion against its route.
-func (c *Cache) resolve(rt route, res device.Result) {
+func (c *Cache) resolve(rt route, res *device.Result) {
 	c.noteDone(res.Done)
-	switch rt.kind {
-	case routeFlush:
+	if rt.kind == routeFlush {
 		return
-	case routeFill:
-		res.Req = rt.req
 	}
-	c.pend[rt.pos] = slot{filled: true, res: res}
+	c.pend[rt.pos] = slot{filled: true, res: *res}
+	if rt.kind == routeFill {
+		c.pend[rt.pos].res.Req = rt.req
+	}
 }
 
 // Drain drains the wrapped device, settles in-flight fills, and
 // returns every submitted request's result in submission order.
 func (c *Cache) Drain() ([]device.Result, error) {
 	out := make([]device.Result, 0, len(c.pend))
-	if err := c.DrainEach(func(r *device.Result) { out = append(out, *r) }); err != nil {
+	if err := c.DrainEach(func(_ int, r *device.Result) { out = append(out, *r) }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // DrainEach is Drain without the materialized result slice: fn is
-// called once per submitted request, in submission order, with a
-// pointer into the batch buffer (valid only during the call). With a
-// caller-prebound fn the steady-state path allocates nothing, which is
-// what lets the bulk trace-replay driver stream millions of requests
-// through the stack in bounded windows.
-func (c *Cache) DrainEach(fn func(*device.Result)) error {
-	if c.err != nil {
-		return c.err
+// called once per submitted request, in submission order, with its
+// sequence number and a pointer into the batch buffer (valid only
+// during the call). With a caller-prebound fn the steady-state path
+// allocates nothing, which is what lets the bulk trace-replay driver
+// stream millions of requests through the stack in bounded windows.
+func (c *Cache) DrainEach(fn func(seq int, r *device.Result)) error {
+	if err := c.resolveAll(); err != nil {
+		return err
 	}
-	switch d := c.inner.(type) {
-	case *sched.Queue:
-		// Commit the queue's dispatch decisions as events on the
-		// cache's core — (time, seq) order — then fold; the Flush is
-		// the drained no-op safety net. Resolution order matches the
-		// legacy drain: the queue buffers completions in dispatch
-		// order either way. The settle closure is bound once and
-		// reused every drain.
-		_ = c.fleet.Drain()
-		if err := d.Flush(); err != nil {
-			c.err = fmt.Errorf("cache: drain: %w", err)
-			return c.err
-		}
-		if c.settleFn == nil {
-			c.settleFn = c.settleQueueCompletion
-		}
-		d.ConsumeCompleted(c.settleFn)
-		if c.err != nil {
-			return c.err
-		}
-	case *striped.Array:
-		rs, err := d.Drain()
-		if err != nil {
-			c.err = fmt.Errorf("cache: drain: %w", err)
-			return c.err
-		}
-		for i, res := range rs {
-			rt, ok := c.routes[i]
-			if !ok {
-				c.err = fmt.Errorf("cache: inner completion %d has no owner", i)
-				return c.err
-			}
-			delete(c.routes, i)
-			c.resolve(rt, res)
-		}
-	}
-	if len(c.routes) > 0 {
-		c.err = fmt.Errorf("cache: %d inner submissions unresolved after drain", len(c.routes))
-		return c.err
-	}
+	base := c.nextSeq - len(c.pend)
 	for i := range c.pend {
-		if !c.pend[i].filled {
-			c.err = fmt.Errorf("cache: submitted request %d has no completion", i)
-			return c.err
-		}
-		fn(&c.pend[i].res)
+		fn(base+i, &c.pend[i].res)
 	}
 	c.pend = c.pend[:0]
 	return nil
 }
 
-// settleQueueCompletion routes one inner-queue completion back to its
-// batch slot (the prebound ConsumeCompleted fold).
-func (c *Cache) settleQueueCompletion(comp *sched.Completion) {
+// resolveAll drains the wrapped device when the batch has traffic in
+// flight there, and checks that every outstanding request has its
+// result.
+func (c *Cache) resolveAll() error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.inflight > 0 {
+		if err := c.batch.DrainEach(c.settleFn); err != nil {
+			c.err = fmt.Errorf("cache: drain: %w", err)
+			return c.err
+		}
+		if c.err != nil {
+			return c.err
+		}
+		if c.inflight > 0 {
+			c.err = fmt.Errorf("cache: %d inner submissions unresolved after drain", c.inflight)
+			return c.err
+		}
+	}
+	c.routes = c.routes[:0]
+	for i := range c.pend {
+		if !c.pend[i].filled {
+			c.err = fmt.Errorf("cache: submitted request %d has no completion", i)
+			return c.err
+		}
+	}
+	return nil
+}
+
+// settle routes one inner completion back to its batch slot (the
+// prebound fold of the wrapped device's DrainEach).
+func (c *Cache) settle(seq int, r *device.Result) {
 	if c.err != nil {
 		return
 	}
-	rt, ok := c.routes[comp.Seq]
-	if !ok {
-		c.err = fmt.Errorf("cache: inner completion %d has no owner", comp.Seq)
+	i := seq - c.routeBase
+	if i < 0 || i >= len(c.routes) || c.routes[i].kind == routeDone {
+		c.err = fmt.Errorf("cache: inner completion %d has no owner", seq)
 		return
 	}
-	delete(c.routes, comp.Seq)
-	c.resolve(rt, comp.Res)
+	rt := c.routes[i]
+	c.routes[i].kind = routeDone
+	c.inflight--
+	c.resolve(rt, r)
 }

@@ -61,6 +61,27 @@ type Device interface {
 	SectorSize() int
 }
 
+// Batch is the asynchronous request contract. Each layer that queues,
+// caches, or fans requests out (sched.Queue, striped.Array,
+// cache.Cache) implements it once: Submit hands a request over and
+// names it, and DrainEach resolves everything submitted, so the layer
+// can reorder, join, or overlap requests before any result is fixed.
+// A layer's Serve behaves as a batch of one.
+type Batch interface {
+	Device
+	// Submit enqueues a request issued at the given host time; issue
+	// times must be non-decreasing across Submit and Serve. The returned
+	// sequence number is valid only when err is nil; numbers increase
+	// with every Submit over the device's lifetime. A rejected request
+	// is never reported by DrainEach.
+	Submit(at float64, req Request) (seq int, err error)
+	// DrainEach resolves every outstanding submission and calls fn once
+	// per request with its sequence number and a pointer to its result,
+	// valid only during the call. fn must not call back into the
+	// device. The order of calls is the implementation's.
+	DrainEach(fn func(seq int, r *Result)) error
+}
+
 // Rotational is implemented by devices with a (single, known) spindle
 // speed. RotationPeriod returns the revolution time in ms, or 0 when
 // unknown — callers must treat 0 as "not rotational".

@@ -17,7 +17,8 @@
 // Key types: Device (Serve/Now/Capacity/SectorSize), Request and Result
 // (plain values carrying the full virtual-time timing record), and the
 // capability interfaces Rotational, BoundaryProvider, Mapped, and
-// Named. CheckRequest is the shared validation gate every backend
+// Named. Batch is the asynchronous Submit/DrainEach contract of the
+// layers that queue or fan out requests. CheckRequest is the shared validation gate every backend
 // routes through, so acceptance is identical across implementations.
 //
 // Determinism: all time is virtual, computed analytically on the

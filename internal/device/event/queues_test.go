@@ -72,7 +72,7 @@ func TestQueuesMatchesLegacyDrain(t *testing.T) {
 	for c := 0; c < nq; c++ {
 		q := newQueue(t, int64(c+1), sched.WithScheduler(sched.CLOOK()), sched.WithDepth(4))
 		for i := range reqs[c] {
-			if err := q.Submit(issues[c][i], reqs[c][i]); err != nil {
+			if _, err := q.Submit(issues[c][i], reqs[c][i]); err != nil {
 				t.Fatalf("legacy submit q%d #%d: %v", c, i, err)
 			}
 		}
@@ -104,7 +104,7 @@ func TestQueuesMatchesLegacyDrain(t *testing.T) {
 			if err := fleet.AdvanceTo(at); err != nil {
 				t.Fatalf("advance to %g: %v", at, err)
 			}
-			if err := qs[c].Submit(at, reqs[c][i]); err != nil {
+			if _, err := qs[c].Submit(at, reqs[c][i]); err != nil {
 				t.Fatalf("fleet submit q%d #%d: %v", c, i, err)
 			}
 			if err := fleet.Touch(c); err != nil {
@@ -164,7 +164,7 @@ func TestQueuesExactTieDeterminism(t *testing.T) {
 		for _, req := range reqs {
 			at := 0.0
 			for _, c := range order {
-				if err := qs[c].Submit(at, req); err != nil {
+				if _, err := qs[c].Submit(at, req); err != nil {
 					t.Fatalf("submit q%d: %v", c, err)
 				}
 				if err := fleet.Touch(c); err != nil {
@@ -220,7 +220,7 @@ func TestQueuesStaleEventSelfHeal(t *testing.T) {
 		return nil
 	})
 	for i, lbn := range []int64{1000, 50000, 9000} {
-		if err := q.Submit(float64(i)*0.01, device.Request{LBN: lbn, Sectors: 8}); err != nil {
+		if _, err := q.Submit(float64(i)*0.01, device.Request{LBN: lbn, Sectors: 8}); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		if err := fleet.Touch(0); err != nil {
@@ -247,7 +247,7 @@ func TestQueuesStaleEventSelfHeal(t *testing.T) {
 		t.Fatalf("stale events committed %d dispatches after an out-of-band flush", commits)
 	}
 	// The slot keeps working afterwards.
-	if err := q.Submit(10, device.Request{LBN: 77, Sectors: 8}); err != nil {
+	if _, err := q.Submit(10, device.Request{LBN: 77, Sectors: 8}); err != nil {
 		t.Fatalf("submit after heal: %v", err)
 	}
 	if err := fleet.Touch(0); err != nil {
@@ -277,7 +277,7 @@ func TestQueuesNilSlotAndUpdate(t *testing.T) {
 	if err := fleet.Touch(1); err != nil {
 		t.Fatalf("touch nil slot: %v", err)
 	}
-	if err := q0.Submit(0, device.Request{LBN: 100, Sectors: 8}); err != nil {
+	if _, err := q0.Submit(0, device.Request{LBN: 100, Sectors: 8}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	if err := fleet.Touch(0); err != nil {
@@ -286,7 +286,7 @@ func TestQueuesNilSlotAndUpdate(t *testing.T) {
 	// Replace slot 0 mid-run: the old queue's event goes stale, the new
 	// queue's decisions flow.
 	q1 := newQueue(t, 12, sched.WithScheduler(sched.CLOOK()), sched.WithDepth(2))
-	if err := q1.Submit(0, device.Request{LBN: 500, Sectors: 8}); err != nil {
+	if _, err := q1.Submit(0, device.Request{LBN: 500, Sectors: 8}); err != nil {
 		t.Fatalf("submit new: %v", err)
 	}
 	if err := fleet.Update(0, q1); err != nil {
@@ -321,7 +321,7 @@ func TestQueueAdvanceThroughBoundary(t *testing.T) {
 
 	t.Run("queue cuts", func(t *testing.T) {
 		q := mk()
-		if err := q.Submit(1.0, device.Request{LBN: 1000, Sectors: 8}); err != nil {
+		if _, err := q.Submit(1.0, device.Request{LBN: 1000, Sectors: 8}); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		nd, ok := q.NextDecision()
@@ -339,7 +339,7 @@ func TestQueueAdvanceThroughBoundary(t *testing.T) {
 		}
 		// A later arrival at exactly nd is still a legal candidate after
 		// the strict cut — the reason the cut is strict.
-		if err := q.Submit(nd, device.Request{LBN: 1008, Sectors: 8}); err != nil {
+		if _, err := q.Submit(nd, device.Request{LBN: 1008, Sectors: 8}); err != nil {
 			t.Fatalf("submit at boundary: %v", err)
 		}
 		if err := q.AdvanceThrough(nd); err != nil {
@@ -366,10 +366,10 @@ func TestQueueAdvanceThroughBoundary(t *testing.T) {
 
 		strict, inclusive := mk(), mk()
 		for _, q := range []*sched.Queue{strict, inclusive} {
-			if err := q.Submit(0, device.Request{LBN: 1000, Sectors: 8}); err != nil {
+			if _, err := q.Submit(0, device.Request{LBN: 1000, Sectors: 8}); err != nil {
 				t.Fatalf("submit: %v", err)
 			}
-			if err := q.Submit(0, device.Request{LBN: 1000 + 8, Sectors: 8}); err != nil {
+			if _, err := q.Submit(0, device.Request{LBN: 1000 + 8, Sectors: 8}); err != nil {
 				t.Fatalf("submit: %v", err)
 			}
 		}

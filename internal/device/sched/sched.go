@@ -72,7 +72,7 @@ type Queue struct {
 }
 
 var (
-	_ device.Device           = (*Queue)(nil)
+	_ device.Batch            = (*Queue)(nil)
 	_ device.Rotational       = (*Queue)(nil)
 	_ device.BoundaryProvider = (*Queue)(nil)
 	_ device.Mapped           = (*Queue)(nil)
@@ -116,21 +116,23 @@ func (q *Queue) Pending() int { return len(q.pending) }
 // Err returns the sticky error of a failed dispatch, if any.
 func (q *Queue) Err() error { return q.err }
 
-// Submit enqueues a request issued at the given host time. Issue times
-// must be non-decreasing across Submit/Serve calls. The request is
-// validated immediately; dispatching is lazy — decisions are committed
-// only once no later arrival could join them — and finished requests
-// accumulate for TakeCompleted. Under FCFS the request passes straight
+// Submit enqueues a request issued at the given host time and returns
+// its sequence number (0-based Submit/Serve order, the Completion.Seq
+// it finishes under). Issue times must be non-decreasing across
+// Submit/Serve calls. The request is validated immediately;
+// dispatching is lazy — decisions are committed only once no later
+// arrival could join them — and finished requests accumulate for
+// DrainEach or TakeCompleted. Under FCFS the request passes straight
 // through to the wrapped device.
-func (q *Queue) Submit(at float64, req device.Request) error {
+func (q *Queue) Submit(at float64, req device.Request) (int, error) {
 	if q.err != nil {
-		return q.err
+		return 0, q.err
 	}
 	if err := device.CheckBounds(req.LBN, req.Sectors, q.capacity); err != nil {
-		return err
+		return 0, err
 	}
 	if at < q.lastIssue {
-		return fmt.Errorf("sched: issue time %g before previous %g", at, q.lastIssue)
+		return 0, fmt.Errorf("sched: issue time %g before previous %g", at, q.lastIssue)
 	}
 	q.lastIssue = at
 	seq := q.nextSeq
@@ -141,12 +143,12 @@ func (q *Queue) Submit(at float64, req device.Request) error {
 		res, err := q.inner.Serve(at, req)
 		if err != nil {
 			q.err = &device.Error{Op: "sched dispatch", Req: req, Err: err}
-			return q.err
+			return seq, q.err
 		}
 		q.note(res)
 		q.stats.PendingAtDispatchSum++
 		q.completed = append(q.completed, Completion{Seq: seq, Res: res})
-		return nil
+		return seq, nil
 	}
 
 	q.advance(at, false)
@@ -154,7 +156,7 @@ func (q *Queue) Submit(at float64, req device.Request) error {
 	if len(q.pending) > q.stats.MaxPending {
 		q.stats.MaxPending = len(q.pending)
 	}
-	return q.err
+	return seq, q.err
 }
 
 // AdvanceTo commits every dispatch decision that happens strictly before
@@ -242,6 +244,20 @@ func (q *Queue) ConsumeCompleted(fn func(*Completion)) {
 	q.completed = q.completed[:0]
 }
 
+// DrainEach flushes the queue and calls fn for every remaining
+// completion, in dispatch order, under its submission sequence number
+// — ConsumeCompleted after a Flush, in the device.Batch shape.
+func (q *Queue) DrainEach(fn func(seq int, r *device.Result)) error {
+	if err := q.Flush(); err != nil {
+		return err
+	}
+	for i := range q.completed {
+		fn(q.completed[i].Seq, &q.completed[i].Res)
+	}
+	q.completed = q.completed[:0]
+	return nil
+}
+
 // Drain flushes the queue and returns every remaining completion.
 func (q *Queue) Drain() ([]Completion, error) {
 	err := q.Flush()
@@ -255,8 +271,8 @@ func (q *Queue) Drain() ([]Completion, error) {
 // systems) can therefore use a Queue anywhere a Device goes; concurrent
 // workloads should Submit and Drain instead.
 func (q *Queue) Serve(at float64, req device.Request) (device.Result, error) {
-	seq := q.nextSeq
-	if err := q.Submit(at, req); err != nil {
+	seq, err := q.Submit(at, req)
+	if err != nil {
 		return device.Result{}, err
 	}
 	if err := q.Flush(); err != nil {

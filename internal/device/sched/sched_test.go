@@ -89,7 +89,7 @@ func TestDepth1FCFSBitIdentical(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		for i, req := range reqs {
-			if err := q.Submit(issues[i], req); err != nil {
+			if _, err := q.Submit(issues[i], req); err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 		}
@@ -146,13 +146,13 @@ func TestLazyReordering(t *testing.T) {
 	far := device.Request{LBN: capacity - 100, Sectors: 64, FUA: true}
 	near := device.Request{LBN: capacity/4 + 64, Sectors: 64, FUA: true}
 
-	if err := q.Submit(0, a); err != nil {
+	if _, err := q.Submit(0, a); err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
 	if got := q.Pending(); got != 1 {
 		t.Fatalf("a dispatched with no later arrival to license it (pending %d)", got)
 	}
-	if err := q.Submit(0.01, far); err != nil {
+	if _, err := q.Submit(0.01, far); err != nil {
 		t.Fatalf("submit far: %v", err)
 	}
 	// far's arrival proves no request can arrive before 0.01, so a's
@@ -160,7 +160,7 @@ func TestLazyReordering(t *testing.T) {
 	if got := q.Pending(); got != 1 {
 		t.Fatalf("a not dispatched once licensed (pending %d)", got)
 	}
-	if err := q.Submit(0.02, near); err != nil {
+	if _, err := q.Submit(0.02, near); err != nil {
 		t.Fatalf("submit near: %v", err)
 	}
 	cs, err := q.Drain()
@@ -192,7 +192,7 @@ func TestDepthWindowLimitsReordering(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 64; i++ {
 		req := device.Request{LBN: rng.Int63n(d.Capacity() - 64), Sectors: 64}
-		if err := q.Submit(float64(i)*0.01, req); err != nil {
+		if _, err := q.Submit(float64(i)*0.01, req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestQueueRunDeterministic(t *testing.T) {
 		}
 		reqs, issues := mixedWorkload(d.Capacity(), 800, 23)
 		for i, req := range reqs {
-			if err := q.Submit(issues[i], req); err != nil {
+			if _, err := q.Submit(issues[i], req); err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 		}
@@ -244,7 +244,7 @@ func TestForceNextAndAdvanceTo(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		req := device.Request{LBN: int64(i) * 1000, Sectors: 32}
-		if err := q.Submit(0, req); err != nil {
+		if _, err := q.Submit(0, req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -319,16 +319,16 @@ func TestQueueRejections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := q.Submit(0, device.Request{LBN: -1, Sectors: 8}); err == nil {
+	if _, err := q.Submit(0, device.Request{LBN: -1, Sectors: 8}); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 	if q.Now() != 0 || q.Pending() != 0 {
 		t.Fatalf("rejection changed state: now %g, pending %d", q.Now(), q.Pending())
 	}
-	if err := q.Submit(5, device.Request{LBN: 0, Sectors: 8}); err != nil {
+	if _, err := q.Submit(5, device.Request{LBN: 0, Sectors: 8}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if err := q.Submit(4, device.Request{LBN: 0, Sectors: 8}); err == nil {
+	if _, err := q.Submit(4, device.Request{LBN: 0, Sectors: 8}); err == nil {
 		t.Fatal("regressive issue time accepted")
 	}
 }

@@ -5,7 +5,7 @@
 // same composition instead of hand-assembling it.
 //
 // Key types: Stack embeds the outermost cache layer, so it is itself a
-// device.Device with the cache's Submit/Drain batch path (hits resolve
+// device.Batch with the cache's Submit/DrainEach path (hits resolve
 // at host-port speed at submission time; misses and fills ride the
 // queue's lazy scheduler dispatch) and forwards every capability of the
 // base device — boundary tables, layouts, and rotation periods build

@@ -91,7 +91,7 @@ func TestPassthroughSubmitDrain(t *testing.T) {
 	}
 	at = 0.0
 	for _, req := range reqs {
-		if err := st.Submit(at, req); err != nil {
+		if _, err := st.Submit(at, req); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		at += 0.01

@@ -13,13 +13,13 @@
 // facade's GroundTruthTable) aligns requests to stripe units exactly as
 // a single-disk table aligns them to tracks.
 //
-// Key types: Array (a device.Device over N children, with a
-// Submit/Drain batch path that lazily queues each request's spans on
+// Key types: Array (a device.Batch over N children, whose
+// Submit/DrainEach path lazily queues each request's spans on
 // queued children so every spindle's scheduler reorders its own span
 // stream), Option (WithChunkSectors, WithQueuedChildren).
 //
 // Determinism: span fan-out and join run on the caller's goroutine in
 // virtual time; child order is fixed, so a seeded workload over an
-// array is bit-identical at any GOMAXPROCS, and the Submit/Drain path
+// array is bit-identical at any GOMAXPROCS, and the Submit/DrainEach path
 // is pinned bit-identical to Serve on plain children.
 package striped

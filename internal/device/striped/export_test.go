@@ -31,7 +31,6 @@ func (a *Array) RAID0CloneForTest(children []device.Device) (*Array, error) {
 		spanBuf:    make([]span, 0, len(children)),
 		spanOf:     make([]int, len(children)),
 		routes:     make([]map[int]int, len(children)),
-		childSeq:   make([]int, len(children)),
 	}, nil
 }
 

@@ -527,7 +527,7 @@ func TestParitySubmitDrain(t *testing.T) {
 				Sectors: sectors,
 				Write:   rng.Intn(3) == 0,
 			}
-			if err := a.Submit(at, req); err != nil {
+			if _, err := a.Submit(at, req); err != nil {
 				t.Fatalf("Submit %d: %v", i, err)
 			}
 			res, err := twin.Serve(at, req)
@@ -537,7 +537,7 @@ func TestParitySubmitDrain(t *testing.T) {
 			want = append(want, res)
 			at += rng.Float64() * 2
 		}
-		got, err := a.Drain()
+		got, err := drainAll(a)
 		if err != nil {
 			t.Fatalf("Drain: %v", err)
 		}

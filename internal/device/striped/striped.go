@@ -25,7 +25,7 @@ type Option func(*config)
 // (sched.New with the given options) at construction: the array then
 // composes per-child queues — the multi-disk analogue of per-drive
 // command queueing. Per-spindle reordering needs concurrent array-level
-// requests, so it takes effect on the Submit/Drain path, where each
+// requests, so it takes effect on the Submit/DrainEach path, where each
 // child's queue schedules its own span stream independently; the
 // synchronous Serve path is a barrier per request and leaves nothing
 // for a child scheduler to reorder. The queues forward the children's
@@ -95,20 +95,20 @@ type Array struct {
 	spanOf   []int  // child index -> span index in spanBuf this Serve, -1 if none
 	lastUnit int
 
-	// Submit/Drain state: joins holds array requests whose per-child
-	// spans are in flight on queued children; routes maps each queued
-	// child's submission sequence numbers to the join they belong to,
-	// and childSeq mirrors each child queue's submission counter.
+	// Submit/DrainEach state: joins holds array requests whose per-child
+	// spans are in flight on queued children, and routes maps each
+	// queued child's submission sequence numbers to the join they
+	// belong to. nextSeq numbers the array's own submissions.
 	joins     []join
 	routes    []map[int]int
-	childSeq  []int
+	nextSeq   int
 	lastIssue float64
 
 	// Event-core citizenship: when any child is a *sched.Queue the
 	// array owns a discrete-event core and a fleet adapter over the
-	// queued children, so Drain advances every spindle on one clock in
+	// queued children, so DrainEach advances every spindle on one clock in
 	// global (time, seq) order instead of flushing child by child.
-	// Completions still fold child-major (see Drain), keeping results
+	// Completions still fold child-major (see DrainEach), keeping results
 	// bit-identical to the legacy join.
 	core  *event.Core
 	fleet *event.Queues
@@ -117,12 +117,16 @@ type Array struct {
 // join is one array-level request being assembled from child spans.
 type join struct {
 	res       device.Result
+	seq       int
 	remaining int // spans still outstanding on queued children
 	started   bool
+	// failed marks a request whose Submit was rejected part-way: spans
+	// already in flight still fold into it, but it is never reported.
+	failed bool
 }
 
 var (
-	_ device.Device           = (*Array)(nil)
+	_ device.Batch            = (*Array)(nil)
 	_ device.Rotational       = (*Array)(nil)
 	_ device.BoundaryProvider = (*Array)(nil)
 	_ device.Named            = (*Array)(nil)
@@ -264,15 +268,10 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 	a.spanBuf = make([]span, 0, n)
 	a.spanOf = make([]int, n)
 	a.routes = make([]map[int]int, n)
-	a.childSeq = make([]int, n)
 	anyQueued := false
 	qslots := make([]*sched.Queue, n)
 	for i, c := range children {
-		// Mirror each queued child's submission counter so span
-		// completions can be routed back to their array request even
-		// when the queue was used before the array adopted it.
 		if q, ok := c.(*sched.Queue); ok {
-			a.childSeq[i] = q.Stats().Submitted
 			qslots[i] = q
 			anyQueued = true
 		}
@@ -439,14 +438,14 @@ func accumulate(dst *device.Result, started *bool, r device.Result) {
 // child's. The aggregate Result has no media-phase breakdown —
 // per-child timing is available from the children themselves. Serve is
 // a per-request barrier; it refuses to interleave with an in-flight
-// Submit batch (Drain first) — except on parity arrays, whose
+// Submit batch (DrainEach first) — except on parity arrays, whose
 // submissions are themselves synchronous.
 func (a *Array) Serve(at float64, req device.Request) (device.Result, error) {
 	if err := device.CheckRequest(a, req); err != nil {
 		return device.Result{}, err
 	}
 	if !a.parity && len(a.joins) > 0 {
-		return device.Result{}, fmt.Errorf("striped: %d submitted requests outstanding; Drain before Serve", len(a.joins))
+		return device.Result{}, fmt.Errorf("striped: %d submitted requests outstanding; drain before Serve", len(a.joins))
 	}
 	// Enforce the issue-order contract up front: a regressive time
 	// rejected by one child mid-fan-out would leave the children's
@@ -472,20 +471,15 @@ const maxRetries = 3
 // childOp issues one sub-request to one child, retrying transient
 // timeouts on parity arrays and wrapping any failure in the typed
 // device.Error record with the failing child and request identified.
-// On success it keeps the mirrored submission counter of queued
-// children in step.
 func (a *Array) childOp(at float64, c int, sub device.Request) (device.Result, error) {
 	for attempt := 0; ; attempt++ {
 		r, err := a.children[c].Serve(at, sub)
 		if err == nil {
-			if _, ok := a.children[c].(*sched.Queue); ok {
-				a.childSeq[c]++ // the barrier Serve consumed one sequence number
-				if a.fleet != nil {
-					// The barrier ran the queue's clock forward; any event
-					// scheduled at its old decision instant is stale now.
-					if terr := a.fleet.Touch(c); terr != nil {
-						return device.Result{}, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: terr}
-					}
+			if _, ok := a.children[c].(*sched.Queue); ok && a.fleet != nil {
+				// The barrier ran the queue's clock forward; any event
+				// scheduled at its old decision instant is stale now.
+				if terr := a.fleet.Touch(c); terr != nil {
+					return device.Result{}, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: terr}
 				}
 			}
 			return r, nil
@@ -736,82 +730,96 @@ func (a *Array) rewriteUnit(at float64, s int, o, n int64, c, p int, fua bool, r
 }
 
 // Submit enqueues one array request issued at the given host time on
-// the concurrent path: every per-child span is handed to its child —
-// lazily scheduled when the child is a *sched.Queue (per-spindle
-// reordering), served immediately otherwise — and the array-level
-// results are assembled by Drain. Issue times must be non-decreasing
-// across Submit/Serve calls. Children managed by the array must not be
-// driven directly while a batch is outstanding.
-func (a *Array) Submit(at float64, req device.Request) error {
+// the concurrent path and returns its sequence number: every per-child
+// span is handed to its child — lazily scheduled when the child is a
+// *sched.Queue (per-spindle reordering), served immediately otherwise
+// — and the array-level results are assembled by DrainEach. Issue
+// times must be non-decreasing across Submit/Serve calls. Children
+// managed by the array must not be driven directly while a batch is
+// outstanding.
+func (a *Array) Submit(at float64, req device.Request) (int, error) {
 	if err := device.CheckRequest(a, req); err != nil {
-		return err
+		return 0, err
 	}
 	if at < a.lastIssue {
-		return fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
+		return 0, fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
 	}
 	a.lastIssue = at
+	seq := a.nextSeq
 	if a.parity {
 		// Parity updates are read-modify-write: the phase-2 writes
 		// depend on the phase-1 reads, which lazy per-child scheduling
 		// cannot order. Parity arrays therefore serve each submission
-		// synchronously; Drain still returns results in submission
-		// order, so Submit/Drain drivers work unchanged.
+		// synchronously; DrainEach still reports results in submission
+		// order, so batch drivers work unchanged.
 		res, err := a.serve(at, req)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if res.Done > a.lastDone {
-			a.lastDone = res.Done
-		}
-		a.joins = append(a.joins, join{res: res, started: true})
-		return nil
+		a.lastDone = max(a.lastDone, res.Done)
+		a.joins = append(a.joins, join{res: res, seq: seq, started: true})
+	} else if err := a.submitSpans(at, req, seq); err != nil {
+		return 0, err
 	}
-	a.joins = append(a.joins, join{res: device.Result{Req: req, Issue: at, CacheHit: true}})
+	a.nextSeq++
+	return seq, nil
+}
+
+// submitSpans registers a join for req and hands each per-child span
+// to its child: queued children get it lazily, routed back by the
+// queue's sequence number; any other child serves it now. A span the
+// child rejects fails the join: spans already in flight still fold
+// into it, but it is never reported.
+func (a *Array) submitSpans(at float64, req device.Request, seq int) error {
+	a.joins = append(a.joins, join{res: device.Result{Req: req, Issue: at, CacheHit: true}, seq: seq})
 	ji := len(a.joins) - 1
+	j := &a.joins[ji]
 	for _, s := range a.split(req) {
 		sub := device.Request{LBN: s.lbn, Sectors: s.sectors, Write: req.Write, FUA: req.FUA}
-		if q, ok := a.children[s.child].(*sched.Queue); ok {
-			if err := q.Submit(at, sub); err != nil {
-				return fmt.Errorf("striped: child %d: %w", s.child, err)
-			}
-			if err := a.fleet.Touch(s.child); err != nil {
-				return fmt.Errorf("striped: child %d: %w", s.child, err)
-			}
-			if a.routes[s.child] == nil {
-				a.routes[s.child] = make(map[int]int)
-			}
-			a.routes[s.child][a.childSeq[s.child]] = ji
-			a.childSeq[s.child]++
-			a.joins[ji].remaining++
-		} else {
+		q, ok := a.children[s.child].(*sched.Queue)
+		if !ok {
 			r, err := a.childOp(at, s.child, sub)
 			if err != nil {
+				j.failed = true
 				return err
 			}
-			accumulate(&a.joins[ji].res, &a.joins[ji].started, r)
+			accumulate(&j.res, &j.started, r)
+			continue
+		}
+		cseq, err := q.Submit(at, sub)
+		if err != nil {
+			j.failed = true
+			return fmt.Errorf("striped: child %d: %w", s.child, err)
+		}
+		if a.routes[s.child] == nil {
+			a.routes[s.child] = make(map[int]int)
+		}
+		a.routes[s.child][cseq] = ji
+		j.remaining++
+		if err := a.fleet.Touch(s.child); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // Outstanding returns the number of submitted array requests awaiting
-// Drain.
+// DrainEach.
 func (a *Array) Outstanding() int { return len(a.joins) }
 
-// Drain commits every outstanding child dispatch, joins the span
-// completions back into their array requests, and returns the
-// assembled results in submission order. With queued children the
+// DrainEach commits every outstanding child dispatch, joins the span
+// completions back into their array requests, and calls fn for each
+// assembled result in submission order. With queued children the
 // dispatches advance on the array's event core — every spindle on one
 // clock, decisions committed in global (time, seq) order — and the
-// per-child Flush below is a drained no-op kept as the safety net (and
-// the whole path for arrays whose queues predate the core). Folding
-// stays child-major regardless of commit order, so the joined results
-// are bit-identical to the legacy per-child drain.
-func (a *Array) Drain() ([]device.Result, error) {
+// per-child Flush below is a drained no-op kept as the safety net.
+// Folding is child-major regardless of commit order, so the joined
+// results do not depend on how the core interleaved the spindles.
+func (a *Array) DrainEach(fn func(seq int, r *device.Result)) error {
 	if a.fleet != nil {
-		// A sticky child error surfaces identically from the per-child
-		// Flush below, with the legacy child attribution; the core run
-		// stops at the first failure either way.
+		// A sticky child error surfaces from the per-child Flush below,
+		// attributed to its child; the core run stops at the first
+		// failure either way.
 		_ = a.fleet.Drain()
 	}
 	var foldErr error
@@ -820,40 +828,38 @@ func (a *Array) Drain() ([]device.Result, error) {
 		if !ok {
 			continue
 		}
-		if err := q.Flush(); err != nil {
-			return nil, fmt.Errorf("striped: child %d: %w", c, err)
-		}
 		cr := a.routes[c]
-		q.ConsumeCompleted(func(comp *sched.Completion) {
-			ji, ok := cr[comp.Seq]
+		if err := q.DrainEach(func(seq int, r *device.Result) {
+			ji, ok := cr[seq]
 			if !ok {
 				if foldErr == nil {
-					foldErr = fmt.Errorf("striped: child %d completion %d has no owner", c, comp.Seq)
+					foldErr = fmt.Errorf("striped: child %d completion %d has no owner", c, seq)
 				}
 				return
 			}
-			delete(cr, comp.Seq)
+			delete(cr, seq)
 			j := &a.joins[ji]
-			accumulate(&j.res, &j.started, comp.Res)
+			accumulate(&j.res, &j.started, *r)
 			j.remaining--
-		})
+		}); err != nil {
+			return fmt.Errorf("striped: child %d: %w", c, err)
+		}
 		if foldErr != nil {
-			return nil, foldErr
+			return foldErr
 		}
 	}
-	out := make([]device.Result, len(a.joins))
 	for i := range a.joins {
 		j := &a.joins[i]
 		if j.remaining != 0 {
-			return nil, fmt.Errorf("striped: request %d still missing %d spans after drain", i, j.remaining)
+			return fmt.Errorf("striped: request %d still missing %d spans after drain", i, j.remaining)
 		}
-		out[i] = j.res
-		if j.res.Done > a.lastDone {
-			a.lastDone = j.res.Done
+		if !j.failed {
+			a.lastDone = max(a.lastDone, j.res.Done)
+			fn(j.seq, &j.res)
 		}
 	}
 	a.joins = a.joins[:0]
-	return out, nil
+	return nil
 }
 
 // DegradedStats counts the fault-absorption work a parity array has
@@ -991,11 +997,7 @@ func (a *Array) Replace(c int, d device.Device) error {
 		return fmt.Errorf("striped: replacement capacity %d < %d", d.Capacity(), need)
 	}
 	a.children[c] = d
-	a.childSeq[c] = 0
 	q, _ := d.(*sched.Queue)
-	if q != nil {
-		a.childSeq[c] = q.Stats().Submitted
-	}
 	if a.fleet != nil {
 		// Swap the fleet slot too (nil for an unqueued replacement);
 		// the old queue's scheduled event goes stale and drops.

@@ -6,11 +6,19 @@ import (
 	"testing"
 
 	"traxtents/internal/device"
+	"traxtents/internal/device/faults"
 	"traxtents/internal/device/sched"
 	"traxtents/internal/device/striped"
 	"traxtents/internal/disk/model"
 	"traxtents/internal/disk/sim"
 )
+
+// drainAll collects one DrainEach pass, in submission order.
+func drainAll(a *striped.Array) ([]device.Result, error) {
+	var out []device.Result
+	err := a.DrainEach(func(_ int, r *device.Result) { out = append(out, *r) })
+	return out, err
+}
 
 func disks(t *testing.T, n int) ([]device.Device, []*sim.Disk) {
 	t.Helper()
@@ -409,12 +417,12 @@ func TestSubmitDrainMatchesServe(t *testing.T) {
 			t.Fatalf("serve %d: %v", i, err)
 		}
 		want = append(want, rs)
-		if err := submitArr.Submit(at, req); err != nil {
+		if _, err := submitArr.Submit(at, req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		at += rng.Float64() * 3
 	}
-	got, err := submitArr.Drain()
+	got, err := drainAll(submitArr)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -440,14 +448,14 @@ func TestPerChildReordering(t *testing.T) {
 		{LBN: capacity/4 + 1000, Sectors: 64}, // near the head: overtakes
 	}
 	for i, req := range reqs {
-		if err := arr.Submit(float64(i)*0.01, req); err != nil {
+		if _, err := arr.Submit(float64(i)*0.01, req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
 	if arr.Outstanding() != 3 {
 		t.Fatalf("outstanding %d, want 3", arr.Outstanding())
 	}
-	rs, err := arr.Drain()
+	rs, err := drainAll(arr)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -463,13 +471,13 @@ func TestPerChildReordering(t *testing.T) {
 	}
 
 	// Serve while a batch is outstanding is refused.
-	if err := arr.Submit(1, reqs[0]); err != nil {
+	if _, err := arr.Submit(1, reqs[0]); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	if _, err := arr.Serve(2, reqs[0]); err == nil {
 		t.Fatal("Serve interleaved with an outstanding batch")
 	}
-	if _, err := arr.Drain(); err != nil {
+	if _, err := drainAll(arr); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if _, err := arr.Serve(3, reqs[0]); err != nil {
@@ -493,12 +501,12 @@ func TestSubmitDrainQueuedDeterministic(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			n := 1 + rng.Intn(600)
 			req := device.Request{LBN: rng.Int63n(arr.Capacity() - int64(n)), Sectors: n, Write: i%6 == 0}
-			if err := arr.Submit(at, req); err != nil {
+			if _, err := arr.Submit(at, req); err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 			at += rng.Float64()
 		}
-		rs, err := arr.Drain()
+		rs, err := drainAll(arr)
 		if err != nil {
 			t.Fatalf("drain: %v", err)
 		}
@@ -512,5 +520,47 @@ func TestSubmitDrainQueuedDeterministic(t *testing.T) {
 		if r.Done < r.Issue || r.MediaEnd > r.Done || r.Start < r.Issue {
 			t.Fatalf("request %d has incoherent times: %+v", i, r)
 		}
+	}
+}
+
+// TestSubmitRejectedSpanNotReported: when a child rejects one span of
+// a request whose other span is already queued on another child,
+// Submit fails and the request is never reported; the queued span
+// still drains, and the batch's other requests come back intact.
+func TestSubmitRejectedSpanNotReported(t *testing.T) {
+	devs, _ := disks(t, 2)
+	q, err := sched.New(devs[0])
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	lost, err := faults.New(devs[1], faults.WithFailAt(0))
+	if err != nil {
+		t.Fatalf("faults.New: %v", err)
+	}
+	arr, err := striped.New([]device.Device{q, lost})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	b := arr.TrackBoundaries()
+	straddle := device.Request{LBN: b[1] - 8, Sectors: 16} // unit 0 on child 0, unit 1 on child 1
+	healthy := device.Request{LBN: 0, Sectors: 8}
+	if _, err := arr.Submit(0, straddle); err == nil {
+		t.Fatal("request spanning the lost child accepted")
+	}
+	seq, err := arr.Submit(1, healthy)
+	if err != nil {
+		t.Fatalf("Submit after a rejection: %v", err)
+	}
+	var got []int
+	if err := arr.DrainEach(func(s int, r *device.Result) {
+		got = append(got, s)
+		if r.Req != healthy {
+			t.Errorf("drained %+v, want %+v", r.Req, healthy)
+		}
+	}); err != nil {
+		t.Fatalf("DrainEach: %v", err)
+	}
+	if len(got) != 1 || got[0] != seq {
+		t.Fatalf("drained seqs %v, want [%d]", got, seq)
 	}
 }

@@ -224,22 +224,26 @@ type key struct {
 	write   bool
 }
 
-// keyState is one key's replay cursor: the FIFO of record indexes
-// (immutable after build) and how many a run has consumed. Keeping the
-// cursor inside the value the key maps to makes the replay hot path a
-// single map access — at a million requests per run a second
-// consumed-prefix map would double the hash work and dominate the
-// whole replay (it did; see BENCH_replay.json).
-type keyState struct {
-	next int32
-	idxs []int32
-}
-
 // Player serves requests from a recorded trace.
 type Player struct {
-	tr    Trace
-	byKey map[key]*keyState // FIFO per key; structure immutable after build
-	mean  float64
+	tr   Trace
+	mean float64
+
+	// Each distinct key has an id and a FIFO of its records, chained
+	// through nextSame; cursor[id] is the FIFO's unconsumed head (-1
+	// once exhausted). byKey, keyOf and nextSame are immutable after
+	// build; a run moves only cursor and hint.
+	byKey    map[key]int32
+	keyOf    []int32 // record index -> key id
+	nextSame []int32 // record index -> next record with its key, or -1
+	cursor   []int32 // key id -> next record to consume, or -1
+
+	// hint is the record after the last one consumed. A replay that
+	// issues requests in trace order finds its key there, so match
+	// takes the key id from keyOf without hashing: at a million keys
+	// each map probe is a chain of cache misses that dominated the
+	// whole replay.
+	hint int
 
 	strict bool
 
@@ -274,9 +278,12 @@ func NewPlayer(tr Trace, opts ...Option) (*Player, error) {
 		return nil, fmt.Errorf("trace: %w: %d records exceed the player's 2^31 limit",
 			device.ErrInvalidRequest, len(tr.Records))
 	}
+	n := len(tr.Records)
 	p := &Player{
-		tr:    tr,
-		byKey: make(map[key]*keyState, len(tr.Records)),
+		tr:       tr,
+		byKey:    make(map[key]int32, n),
+		keyOf:    make([]int32, n),
+		nextSame: make([]int32, n),
 	}
 	var sum float64
 	for i, rec := range tr.Records {
@@ -284,15 +291,25 @@ func NewPlayer(tr Trace, opts ...Option) (*Player, error) {
 			return nil, err
 		}
 		k := key{rec.LBN, rec.Sectors, rec.Write}
-		st := p.byKey[k]
-		if st == nil {
-			st = &keyState{}
-			p.byKey[k] = st
+		id, ok := p.byKey[k]
+		if !ok {
+			id = int32(len(p.byKey))
+			p.byKey[k] = id
 		}
-		st.idxs = append(st.idxs, int32(i))
+		p.keyOf[i] = id
 		sum += rec.Service
 	}
-	if n := len(tr.Records); n > 0 {
+	// Chain each key's records back to front, so cursor ends at the head.
+	p.cursor = make([]int32, len(p.byKey))
+	for id := range p.cursor {
+		p.cursor[id] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		id := p.keyOf[i]
+		p.nextSame[i] = p.cursor[id]
+		p.cursor[id] = int32(i)
+	}
+	if n > 0 {
 		p.mean = sum / float64(n)
 	}
 	for _, o := range opts {
@@ -303,13 +320,25 @@ func NewPlayer(tr Trace, opts ...Option) (*Player, error) {
 
 // match consumes the next unused record for the request's key.
 func (p *Player) match(req device.Request) (float64, bool) {
-	st := p.byKey[key{req.LBN, req.Sectors, req.Write}]
-	if st == nil || int(st.next) >= len(st.idxs) {
+	id := int32(-1)
+	if i := p.hint; i < len(p.tr.Records) {
+		if rec := &p.tr.Records[i]; rec.LBN == req.LBN && rec.Sectors == req.Sectors && rec.Write == req.Write {
+			id = p.keyOf[i]
+		}
+	}
+	if id < 0 {
+		var ok bool
+		if id, ok = p.byKey[key{req.LBN, req.Sectors, req.Write}]; !ok {
+			return 0, false
+		}
+	}
+	i := p.cursor[id]
+	if i < 0 {
 		return 0, false
 	}
-	svc := p.tr.Records[st.idxs[st.next]].Service
-	st.next++
-	return svc, true
+	p.cursor[id] = p.nextSame[i]
+	p.hint = int(i) + 1
+	return p.tr.Records[i].Service, true
 }
 
 // Serve replays one request.
@@ -345,9 +374,10 @@ func (p *Player) Serve(at float64, req device.Request) (device.Result, error) {
 // must stay non-decreasing across runs — and the miss counter keeps
 // accumulating. Reset never allocates.
 func (p *Player) Reset() {
-	for _, st := range p.byKey {
-		st.next = 0
+	for i := len(p.keyOf) - 1; i >= 0; i-- {
+		p.cursor[p.keyOf[i]] = int32(i)
 	}
+	p.hint = 0
 }
 
 // Now returns the completion time of the last request replayed.

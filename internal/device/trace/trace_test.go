@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -224,6 +225,69 @@ func TestStrictMissIsTyped(t *testing.T) {
 	// A traced request still replays after the miss.
 	if _, err := p.Serve(0, device.Request{LBN: 0, Sectors: 8}); err != nil {
 		t.Fatalf("hit after miss: %v", err)
+	}
+}
+
+// Whatever order requests arrive in — trace order, locally shuffled
+// as a scheduler would, or fully shuffled — each consumes the oldest
+// unconsumed record with its key, as a per-key FIFO model says.
+func TestPlayerMatchesKeyFIFO(t *testing.T) {
+	type k struct {
+		lbn   int64
+		write bool
+	}
+	rng := rand.New(rand.NewSource(5))
+	tr := trace.Trace{Name: "fifo", Capacity: 1000, SectorSize: 512}
+	for i := 0; i < 400; i++ {
+		tr.Records = append(tr.Records, trace.Record{
+			LBN: int64(rng.Intn(12)) * 8, Sectors: 8, Write: rng.Intn(3) == 0,
+			Service: float64(i + 1),
+		})
+	}
+	shuffle := func(o []int) { rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] }) }
+	orders := map[string]func([]int){
+		"trace": func([]int) {},
+		"windowed": func(o []int) {
+			for w := 0; w < len(o); w += 8 {
+				shuffle(o[w:min(w+8, len(o))])
+			}
+		},
+		"shuffled": shuffle,
+	}
+	for name, reorder := range orders {
+		t.Run(name, func(t *testing.T) {
+			p, err := trace.NewPlayer(tr, trace.Strict())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ {
+				fifo := map[k][]float64{}
+				for _, rec := range tr.Records {
+					fifo[k{rec.LBN, rec.Write}] = append(fifo[k{rec.LBN, rec.Write}], rec.Service)
+				}
+				order := make([]int, len(tr.Records))
+				for i := range order {
+					order[i] = i
+				}
+				reorder(order)
+				for _, i := range order {
+					rec := tr.Records[i]
+					res, err := p.Serve(p.Now(), device.Request{LBN: rec.LBN, Sectors: rec.Sectors, Write: rec.Write})
+					if err != nil {
+						t.Fatalf("run %d: Serve: %v", run, err)
+					}
+					q := fifo[k{rec.LBN, rec.Write}]
+					if got := res.Done - res.Start; got != q[0] {
+						t.Fatalf("run %d: request for record %d served %g, want FIFO head %g", run, i, got, q[0])
+					}
+					fifo[k{rec.LBN, rec.Write}] = q[1:]
+				}
+				if _, err := p.Serve(p.Now(), device.Request{LBN: 0, Sectors: 8}); !errors.Is(err, trace.ErrNoRecord) {
+					t.Fatalf("run %d: exhausted player served: %v", run, err)
+				}
+				p.Reset()
+			}
+		})
 	}
 }
 

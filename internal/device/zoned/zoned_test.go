@@ -423,7 +423,7 @@ func TestZonedScheduler(t *testing.T) {
 			} else {
 				req = device.Request{LBN: rng.Int63n(z.Capacity() - 8), Sectors: 8}
 			}
-			if err := q.Submit(at, req); err != nil {
+			if _, err := q.Submit(at, req); err != nil {
 				t.Fatalf("submit: %v", err)
 			}
 			subs++
@@ -498,7 +498,7 @@ func TestStackOverZonedSubmitDrainVsServe(t *testing.T) {
 			t.Fatalf("stack serve %d: %v", i, err)
 		}
 		fromServe = append(fromServe, r)
-		if err := stBatch.Submit(ats[i], req); err != nil {
+		if _, err := stBatch.Submit(ats[i], req); err != nil {
 			t.Fatalf("stack submit %d: %v", i, err)
 		}
 	}

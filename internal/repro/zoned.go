@@ -101,7 +101,7 @@ func zonedCell(n int, seed int64, rate float64, aligned bool) (zonedCellResult, 
 			first = t
 		}
 		req := device.Request{LBN: rng.Int63n(positions) * grain, Sectors: zonedEraseSectors, Write: true}
-		if err := q.Submit(t, req); err != nil {
+		if _, err := q.Submit(t, req); err != nil {
 			return zonedCellResult{}, err
 		}
 	}

@@ -312,14 +312,14 @@ func (s *Server) MeasureRounds(v int, ioSectors int, aligned bool) (RoundMetrics
 		sortInt64(lbns)
 		start := st.Now()
 		for _, lbn := range lbns {
-			if err := st.Submit(start, device.Request{LBN: lbn, Sectors: ioSectors}); err != nil {
+			if _, err := st.Submit(start, device.Request{LBN: lbn, Sectors: ioSectors}); err != nil {
 				return out, err
 			}
 		}
 		if bgStream != nil {
 			ratePerMs := bg.RatePerSec / 1000
 			for t := start + bgRng.ExpFloat64()/ratePerMs; t < start+roundMs; t += bgRng.ExpFloat64() / ratePerMs {
-				if err := st.Submit(t, bgStream.Next()); err != nil {
+				if _, err := st.Submit(t, bgStream.Next()); err != nil {
 					return out, err
 				}
 				out.BgRequests++

@@ -14,17 +14,16 @@ import (
 // aggregate accounting of a seeded 2000-request ServeTenant stream
 // over three shards, per tier at depth 4. Requests reach up to 256
 // sectors, so many span several extents, some of them on the same
-// shard but not contiguous there. The pins were taken from the
-// original synchronous ServeTenant and hold across its derivation from
-// Submit/Drain, except under the per-spindle tiers (sstf, clook,
-// traxtent): there a request's non-contiguous spans on one shard are
-// now ordered by the tier, as in any batch, instead of one at a time.
+// shard but not contiguous there. ServeTenant is a batch of one: a
+// per-spindle tier (sstf, clook, traxtent) may dispatch one request's
+// spans on a shard out of span order, while fcfs, fair, and edf keep
+// span order (equal deadlines, rising fair-share tags).
 func TestServeTenantPin(t *testing.T) {
 	pins := []struct{ tier, digest string }{
 		{"fcfs", "80674afb442aa0b1"},
 		{"fair", "71716f59d3899fa5"},
 		{"edf", "71716f59d3899fa5"},
-		{"sstf", "71716f59d3899fa5"},
+		{"sstf", "0e997ab0729b4e21"},
 		{"clook", "71716f59d3899fa5"},
 		{"traxtent", "71716f59d3899fa5"},
 	}

@@ -6,8 +6,8 @@ import (
 
 // The tenant-aware tier schedulers plug into sched.Queue but read
 // per-request tenant metadata the Pending record does not carry: the
-// Manager mirrors the tier's sequence numbers (shard.nextSeq) and
-// appends one tag per submission, so Pick can index seqTag/seqDeadline
+// Manager appends one tag per accepted submission, in the tier's
+// sequence order, so Pick can index seqTag/seqDeadline
 // by cands[i].Seq. Both break ties by arrival order (strict <, first
 // candidate wins), keeping runs bit-reproducible.
 

@@ -9,9 +9,10 @@ import (
 // View presents one tenant's volume as a device.Device, so everything
 // that drives a device — the conformance suite, the workload drivers,
 // the file-system studies — runs unchanged against a volume. Serve is
-// ServeTenant (a barrier per request); a view over a limited tenant
-// surfaces admission rejections as Serve errors, so conformance runs
-// should use an unlimited tenant.
+// ServeTenant: a batch of one through the manager's Submit and Drain,
+// so it drains any outstanding batch first. A view over a limited
+// tenant surfaces admission rejections as Serve errors, so conformance
+// runs should use an unlimited tenant.
 type View struct {
 	m *Manager
 	v *Volume

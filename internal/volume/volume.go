@@ -82,8 +82,11 @@ type shard struct {
 	freeExt   []int   // min-heap of returned extent indices
 	nextFresh int     // lowest never-allocated extent index
 
-	nextSeq int         // mirror of the tier's submission sequence
-	routes  map[int]int // tier seq -> join index (batch path only)
+	// routes[i] is the span slot of the current batch that tier seq
+	// routeBase+i belongs to, -1 once folded. A successful Drain
+	// empties it.
+	routeBase int
+	routes    []int
 
 	// Tenant metadata for the tier scheduler, indexed by tier sequence
 	// number (only populated for the fair and edf tiers).
@@ -254,9 +257,12 @@ func (v *Volume) refill(t float64) {
 }
 
 // join assembles one volume request's spans back into a single Result.
+// Its spans hold batch slots span0 .. span0+spans-1 of Manager.spans.
 type join struct {
 	vol       *Volume
 	res       device.Result
+	span0     int
+	spans     int
 	remaining int
 	started   bool
 	// failed marks a join whose batch died mid-route (a shard tier
@@ -293,6 +299,14 @@ func (v *Volume) restore(s admissionSnapshot) {
 	v.bucketAt = s.bucketAt
 	v.lastRelease = s.lastRelease
 	v.deferred = s.deferred
+}
+
+// spanSlot is one routed span of the current batch: its join and, once
+// folded, its bus time — summed in span order when the join completes,
+// so a request's BusTime does not depend on which shard finished first.
+type spanSlot struct {
+	ji  int
+	bus float64
 }
 
 // heldReq is an admitted-but-shaped request waiting for its release
@@ -365,6 +379,7 @@ type Manager struct {
 	order []*Volume
 
 	joins     []join
+	spans     []spanSlot
 	held      heldHeap
 	heldOrder int
 
@@ -389,7 +404,9 @@ type Manager struct {
 	foldErr error
 	foldFn  func(*sched.Completion)
 
-	// Aggregate accounting across tenants.
+	// Aggregate accounting across tenants; last is the most recently
+	// accounted result (what ServeTenant returns).
+	last            device.Result
 	served          int
 	sumResp         float64
 	maxResp         float64
@@ -433,7 +450,7 @@ func New(shards []device.Device, opts ...Option) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("volume: shard %d: %w", i, err)
 		}
-		sh := &shard{idx: i, dev: d, bounds: bounds, routes: make(map[int]int)}
+		sh := &shard{idx: i, dev: d, bounds: bounds}
 		var s sched.Scheduler
 		switch cfg.tier {
 		case tierFair:
@@ -677,13 +694,13 @@ func (m *Manager) split(v *Volume, req device.Request) []span {
 }
 
 // tag records the tenant metadata the tier scheduler will read for the
-// next submission on sh, advancing the tenant's SFQ finish tag.
-func (m *Manager) tag(sh *shard, v *Volume, release float64, sectors int) {
+// submission just accepted on sh, advancing the tenant's SFQ finish
+// tag from start, the start tag taken before the submission.
+func (m *Manager) tag(sh *shard, v *Volume, start, release float64, sectors int) {
 	switch m.cfg.tier {
 	case tierFair:
-		s := math.Max(sh.vtime, v.lastFinish[sh.idx])
-		v.lastFinish[sh.idx] = s + float64(sectors)/v.weight
-		sh.seqTag = append(sh.seqTag, s)
+		v.lastFinish[sh.idx] = start + float64(sectors)/v.weight
+		sh.seqTag = append(sh.seqTag, start)
 	case tierEDF:
 		sh.seqDeadline = append(sh.seqDeadline, release+v.deadline)
 	}
@@ -739,37 +756,32 @@ func (m *Manager) Submit(name string, at float64, req device.Request) error {
 //
 // A span the tier rejects mid-batch cannot be unsubmitted from the
 // spans before it, so route fails softly: the join is marked failed
-// (earlier spans still fold into it, but it never accounts), the
-// tenant's in-flight count drops, and the failed span's bookkeeping is
-// undone — but only when the tier did not consume its submission
-// sequence number, which a sticky dispatch failure does.
+// (earlier spans still fold into it, but it never accounts) and the
+// tenant's in-flight count drops. A span is tagged and routed only
+// once its tier accepts it, so a rejection leaves nothing to undo.
 func (m *Manager) route(v *Volume, issue, release float64, req device.Request) error {
 	ji := len(m.joins)
-	m.joins = append(m.joins, join{vol: v, res: device.Result{Req: req, Issue: issue}})
 	spans := m.split(v, req)
-	m.joins[ji].remaining = len(spans)
+	span0 := len(m.spans)
+	m.joins = append(m.joins, join{vol: v, res: device.Result{Req: req, Issue: issue},
+		span0: span0, spans: len(spans), remaining: len(spans)})
+	for range spans {
+		m.spans = append(m.spans, spanSlot{ji: ji})
+	}
 	for si, sp := range spans {
 		sub := device.Request{LBN: sp.lbn, Sectors: sp.sectors, Write: req.Write, FUA: req.FUA}
-		prevFinish := 0.0
-		if m.cfg.tier == tierFair {
-			prevFinish = v.lastFinish[sp.sh.idx]
-		}
-		before := sp.sh.tier.Stats().Submitted
-		m.tag(sp.sh, v, release, sp.sectors)
-		sp.sh.routes[sp.sh.nextSeq] = ji
-		sp.sh.nextSeq++
-		if err := sp.sh.tier.Submit(release, sub); err != nil {
+		// The start tag reads the shard's virtual time before Submit,
+		// which may dispatch earlier requests and advance it.
+		start := math.Max(sp.sh.vtime, v.lastFinish[sp.sh.idx])
+		if _, err := sp.sh.tier.Submit(release, sub); err != nil {
 			j := &m.joins[ji]
 			j.failed = true
 			j.remaining -= len(spans) - si // this span and the rest never complete
 			v.unresolved--
-			if sp.sh.tier.Stats().Submitted == before {
-				delete(sp.sh.routes, sp.sh.nextSeq-1)
-				sp.sh.nextSeq--
-				m.untag(sp.sh, v, prevFinish)
-			}
 			return err
 		}
+		m.tag(sp.sh, v, start, release, sp.sectors)
+		sp.sh.routes = append(sp.sh.routes, span0+si)
 		// The tier's Submit may have committed earlier decisions
 		// internally, and its next decision instant moved: re-sweep the
 		// shard on the next fold and reschedule its event.
@@ -779,19 +791,6 @@ func (m *Manager) route(v *Volume, issue, release float64, req device.Request) e
 		}
 	}
 	return nil
-}
-
-// untag reverses one tag() call for a span whose tier submission did
-// not consume a sequence number, realigning the tenant-metadata
-// mirrors with the tier's counter.
-func (m *Manager) untag(sh *shard, v *Volume, prevFinish float64) {
-	switch m.cfg.tier {
-	case tierFair:
-		sh.seqTag = sh.seqTag[:len(sh.seqTag)-1]
-		v.lastFinish[sh.idx] = prevFinish
-	case tierEDF:
-		sh.seqDeadline = sh.seqDeadline[:len(sh.seqDeadline)-1]
-	}
 }
 
 // advanceTo releases every held request due by at (in release order,
@@ -840,28 +839,38 @@ func (m *Manager) foldOne(c *sched.Completion) {
 		return
 	}
 	sh := m.foldCur
-	ji, ok := sh.routes[c.Seq]
-	if !ok {
+	i := c.Seq - sh.routeBase
+	if i < 0 || i >= len(sh.routes) || sh.routes[i] < 0 {
 		m.foldErr = fmt.Errorf("volume: shard %d completion %d (%+v) has no owner", sh.idx, c.Seq, c.Res.Req)
 		return
 	}
-	delete(sh.routes, c.Seq)
-	j := &m.joins[ji]
-	accumulate(&j.res, &j.started, c.Res)
+	k := sh.routes[i]
+	sh.routes[i] = -1
+	m.spans[k].bus = c.Res.BusTime
+	j := &m.joins[m.spans[k].ji]
+	accumulate(&j.res, &j.started, &c.Res)
 	j.remaining--
 	if j.remaining == 0 && !j.failed {
+		if j.spans > 1 {
+			bus := m.spans[j.span0].bus
+			for _, s := range m.spans[j.span0+1 : j.span0+j.spans] {
+				bus += s.bus
+			}
+			j.res.BusTime = bus
+		}
 		j.vol.unresolved--
-		m.account(j.vol, j.res)
+		m.account(j.vol, &j.res)
 	}
 }
 
 // accumulate merges one span result into a join's aggregate. A single
 // span keeps the child's full record (including the media-phase
 // breakdown); merged spans drop Timing, like a striped array's joins.
-func accumulate(dst *device.Result, started *bool, r device.Result) {
+// Bus time is summed by foldOne, in span order.
+func accumulate(dst *device.Result, started *bool, r *device.Result) {
 	if !*started {
 		req, issue := dst.Req, dst.Issue
-		*dst = r
+		*dst = *r
 		dst.Req, dst.Issue = req, issue
 		*started = true
 		return
@@ -876,14 +885,14 @@ func accumulate(dst *device.Result, started *bool, r device.Result) {
 	if r.Done > dst.Done {
 		dst.Done = r.Done
 	}
-	dst.BusTime += r.BusTime
 	dst.Prefetched += r.Prefetched
 	dst.CacheHit = dst.CacheHit && r.CacheHit
 }
 
 // account records one reassembled completion against its tenant and
 // the aggregate.
-func (m *Manager) account(v *Volume, res device.Result) {
+func (m *Manager) account(v *Volume, res *device.Result) {
+	m.last = *res
 	resp := res.Response()
 	v.served++
 	v.sumResp += resp
@@ -947,63 +956,32 @@ func (m *Manager) Drain() error {
 		}
 	}
 	m.joins = m.joins[:0]
+	m.spans = m.spans[:0]
+	for _, sh := range m.shards {
+		sh.routeBase, sh.routes = sh.routeBase+len(sh.routes), sh.routes[:0]
+	}
 	return nil
 }
 
-// ServeTenant submits one request and resolves it synchronously,
-// returning its reassembled result — a barrier, like sched.Queue.Serve:
-// any outstanding batch work is drained first. Sequential consumers
-// (and the per-tenant device view) use it; concurrent workloads should
-// Submit and Drain. The steady-state path does not allocate.
+// ServeTenant serves one request as a batch of one — a barrier, like
+// sched.Queue.Serve: any outstanding batch work is drained first, then
+// the request is Submitted and Drained, and the result Drain just
+// accounted is returned. Sequential consumers (and the per-tenant
+// device view) use it; concurrent workloads should Submit and Drain.
+// The steady-state path does not allocate.
 func (m *Manager) ServeTenant(name string, at float64, req device.Request) (device.Result, error) {
 	if len(m.held) > 0 || len(m.joins) > 0 {
 		if err := m.Drain(); err != nil {
 			return device.Result{}, err
 		}
 	}
-	v, ok := m.vols[name]
-	if !ok {
-		return device.Result{}, fmt.Errorf("volume: unknown tenant %q", name)
-	}
-	if err := device.CheckBounds(req.LBN, req.Sectors, v.capacity); err != nil {
+	if err := m.Submit(name, at, req); err != nil {
 		return device.Result{}, err
 	}
-	if at < m.lastIssue {
-		return device.Result{}, fmt.Errorf("volume: issue time %g before previous %g", at, m.lastIssue)
-	}
-	snap := v.admitSnap()
-	release, err := v.admit(at, req.Sectors)
-	if err != nil {
+	if err := m.Drain(); err != nil {
 		return device.Result{}, err
 	}
-	m.lastIssue = at
-	res := device.Result{Req: req, Issue: at}
-	started := false
-	for _, sp := range m.split(v, req) {
-		sub := device.Request{LBN: sp.lbn, Sectors: sp.sectors, Write: req.Write, FUA: req.FUA}
-		prevFinish := 0.0
-		if m.cfg.tier == tierFair {
-			prevFinish = v.lastFinish[sp.sh.idx]
-		}
-		before := sp.sh.tier.Stats().Submitted
-		m.tag(sp.sh, v, release, sp.sectors)
-		sp.sh.nextSeq++
-		r, err := sp.sh.tier.Serve(release, sub)
-		if err != nil {
-			// Same contract as the batch path: the failed request holds
-			// no tokens, and the mirrors realign when the tier did not
-			// consume the sequence number.
-			if sp.sh.tier.Stats().Submitted == before {
-				sp.sh.nextSeq--
-				m.untag(sp.sh, v, prevFinish)
-			}
-			v.restore(snap)
-			return device.Result{}, err
-		}
-		accumulate(&res, &started, r)
-	}
-	m.account(v, res)
-	return res, nil
+	return m.last, nil
 }
 
 // VolumeStats is one tenant's accounting snapshot (or the cross-tenant

@@ -220,7 +220,7 @@ func runOpen(q *sched.Queue, g *gen, n int, ld Load) ([]sched.Completion, error)
 	ratePerMs := ld.RatePerSec / 1000
 	at := 0.0
 	for i := 0; i < n; i++ {
-		if err := q.Submit(at, g.next()); err != nil {
+		if _, err := q.Submit(at, g.next()); err != nil {
 			return nil, err
 		}
 		at += g.rng.ExpFloat64() / ratePerMs
@@ -328,7 +328,7 @@ func runClosed(q *sched.Queue, g *gen, n int, ld Load) ([]sched.Completion, erro
 			continue // population shrinks once the budget is issued
 		}
 		clientOf = append(clientOf, w.client)
-		if err := q.Submit(w.t, g.next()); err != nil {
+		if _, err := q.Submit(w.t, g.next()); err != nil {
 			return nil, err
 		}
 		submitted++

@@ -218,7 +218,7 @@ func (f *Fleet) fire(now float64, tag int64) error {
 	// Each arrival is exactly one submission, so this run's j-th arrival
 	// for spindle s gets queue seq base[s]+j: the record index is lin.
 	f.recOf[lin] = ri
-	if err := q.Submit(now, req); err != nil {
+	if _, err := q.Submit(now, req); err != nil {
 		return err
 	}
 	if err := f.foldSpindle(s); err != nil {

@@ -68,7 +68,7 @@ func TestFleetMatchesIndependentQueues(t *testing.T) {
 		iat := rand.New(rand.NewSource(swl.Seed ^ 0x666c656574))
 		at := 0.0
 		for j := 0; j < swl.Requests; j++ {
-			if err := q.Submit(at, g.next()); err != nil {
+			if _, err := q.Submit(at, g.next()); err != nil {
 				t.Fatal(err)
 			}
 			at += iat.ExpFloat64() / (fleetRate / 1000)

@@ -75,7 +75,7 @@ type Replay struct {
 	maxDone         float64
 	barriers        int
 
-	foldFn func(*device.Result)
+	foldFn func(int, *device.Result)
 	err    error
 }
 
@@ -142,7 +142,7 @@ func NewReplay(st *stack.Stack, tr trace.Trace, cfg ReplayConfig) (*Replay, erro
 }
 
 // foldOne streams one completion into the run's statistics.
-func (r *Replay) foldOne(res *device.Result) {
+func (r *Replay) foldOne(_ int, res *device.Result) {
 	r.count++
 	resp := res.Done - res.Issue
 	r.sumResp += resp
@@ -178,7 +178,7 @@ func (r *Replay) Run() (ReplayMetrics, error) {
 
 	inWindow := 0
 	for i := range r.reqs {
-		if err := r.st.Submit(start+r.offs[i], r.reqs[i]); err != nil {
+		if _, err := r.st.Submit(start+r.offs[i], r.reqs[i]); err != nil {
 			r.err = fmt.Errorf("driver: replay request %d: %w", i, err)
 			return ReplayMetrics{}, r.err
 		}

@@ -111,7 +111,7 @@ func (e *rbEngine) fire(now float64, tag int64) error {
 		e.isRebuild[e.q.Stats().Submitted] = k
 		e.nextChunk = k + 1
 	}
-	if err := e.q.Submit(now, req); err != nil {
+	if _, err := e.q.Submit(now, req); err != nil {
 		return err
 	}
 	e.submitted++

@@ -459,8 +459,9 @@ func NewStripedDevice(children []Device, opts ...StripedOption) (*StripedDevice,
 // WithQueueDepth requests are outstanding at once and WithScheduler
 // picks the service order. The queue is itself a Device (Serve is a
 // submit-and-flush barrier) and forwards the wrapped device's
-// capabilities; concurrent workloads use Submit/Drain. Defaults: depth
-// 1, FCFS — a transparent, bit-identical passthrough.
+// capabilities; concurrent workloads use the batch contract,
+// Submit/DrainEach (or Drain). Defaults: depth 1, FCFS — a
+// transparent, bit-identical passthrough.
 func NewQueuedDevice(d Device, opts ...QueueOption) (*QueuedDevice, error) {
 	return sched.New(d, opts...)
 }
@@ -764,9 +765,9 @@ func ScrubArray(arr *StripedDevice, at float64) (ScrubReport, error) {
 
 // NewVolumeManager builds a multi-tenant volume server over the shard
 // devices: AddVolume places tenant volumes on whole traxtents (never
-// straddling a track boundary), Submit/Drain and ServeTenant serve
-// tenant requests through per-tenant admission control and the
-// tenant-aware scheduling tier, and VolumeStats/Aggregate report
+// straddling a track boundary), Submit/Drain serve tenant requests
+// through per-tenant admission control and the tenant-aware scheduling
+// tier (ServeTenant is a batch of one), and VolumeStats/Aggregate report
 // streaming response accounting. A single-tenant manager with no limit
 // over an unoptioned tier is a transparent passthrough, bit-identical
 // to serving the shard directly.

@@ -359,7 +359,7 @@ func TestQueuedDeviceFacade(t *testing.T) {
 	at := q.Now()
 	for i := 0; i < 32; i++ {
 		req := traxtents.Request{LBN: int64(i%7) * 1_000_000, Sectors: 128}
-		if err := q.Submit(at, req); err != nil {
+		if _, err := q.Submit(at, req); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
@@ -481,7 +481,7 @@ func TestCachedDeviceFacade(t *testing.T) {
 	}
 	at := 0.0
 	for i := 0; i < 16; i++ {
-		if err := q.Submit(at, traxtents.Request{LBN: int64(i%5) * 50_000, Sectors: 64}); err != nil {
+		if _, err := q.Submit(at, traxtents.Request{LBN: int64(i%5) * 50_000, Sectors: 64}); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 		at += 0.5
