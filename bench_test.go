@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -766,7 +767,7 @@ func BenchmarkVolumeServe(b *testing.B) {
 		name  string
 		tier  string
 		depth int
-	}{{"fcfs-d1", "fcfs", 1}, {"fair-d8", "fair", 8}} {
+	}{{"fcfs-d1", "fcfs", 1}, {"fair-d8", "fair", 8}, {"edf-d8", "edf", 8}} {
 		b.Run(tier.name, func(b *testing.B) {
 			mgr, names, reqs := volumeBench(b, tier.tier, tier.depth)
 			serveVolumeLoop(b, mgr, names, reqs, 256) // warm pooled buffers
@@ -786,16 +787,19 @@ func BenchmarkVolumeServe(b *testing.B) {
 }
 
 // TestBenchVolumeJSON emits BENCH_volume.json: wall-clock requests/sec
-// and allocs/request for steady-state whole-extent reads through the
-// 128-tenant volume manager, on the passthrough tier (fcfs, depth 1 —
-// the manager's pure routing overhead, gated at zero allocations per
-// request) and the fair-share tier (sfq tagging and reordering on top).
-// Like the other JSON gates this is a virtual-time measurement, cheap
+// and allocs and bytes per request for steady-state whole-extent reads
+// through the 128-tenant volume manager, on the passthrough tier (fcfs,
+// depth 1 — the manager's pure routing overhead) and the tenant tiers
+// (sfq tagging or edf deadlines, and reordering, on top). Every tier is
+// gated at zero allocations and under one allocated byte per request:
+// steady-state memory must stay flat however long a server runs. Like
+// the other JSON gates this is a virtual-time measurement, cheap
 // enough for every CI run.
 func TestBenchVolumeJSON(t *testing.T) {
 	const (
 		n      = 2048
 		passes = 3
+		steady = 1 << 16 // requests the bytes/request gate averages over
 	)
 	type row struct {
 		Tier         string  `json:"tier"`
@@ -804,6 +808,7 @@ func TestBenchVolumeJSON(t *testing.T) {
 		WallNsPerReq float64 `json:"wall_ns_per_req"`
 		ReqPerSec    float64 `json:"req_per_sec"`
 		AllocsPerReq float64 `json:"allocs_per_req"`
+		BytesPerReq  float64 `json:"bytes_per_req"`
 	}
 	report := struct {
 		Benchmark string `json:"benchmark"`
@@ -814,7 +819,7 @@ func TestBenchVolumeJSON(t *testing.T) {
 		name  string
 		tier  string
 		depth int
-	}{{"fcfs-d1", "fcfs", 1}, {"fair-d8", "fair", 8}} {
+	}{{"fcfs-d1", "fcfs", 1}, {"fair-d8", "fair", 8}, {"edf-d8", "edf", 8}} {
 		mgr, names, reqs := volumeBench(t, tier.tier, tier.depth)
 		serveVolumeLoop(t, mgr, names, reqs, 256) // warm pooled buffers
 
@@ -830,6 +835,11 @@ func TestBenchVolumeJSON(t *testing.T) {
 			i++
 		}
 		allocs := testing.AllocsPerRun(n, serveOne)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serveVolumeLoop(t, mgr, names, reqs, steady)
+		runtime.ReadMemStats(&after)
+		bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / steady
 		best := math.Inf(1)
 		for p := 0; p < passes; p++ { // timed passes after AllocsPerRun's GC churn
 			start := time.Now()
@@ -843,9 +853,14 @@ func TestBenchVolumeJSON(t *testing.T) {
 			WallNsPerReq: best,
 			ReqPerSec:    1e9 / best,
 			AllocsPerReq: allocs,
+			BytesPerReq:  bytesPer,
 		})
-		if tier.tier == "fcfs" && allocs != 0 {
+		if allocs != 0 {
 			t.Errorf("%s: steady-state ServeTenant allocates %.1f per request, want 0", tier.name, allocs)
+		}
+		if bytesPer >= 1 {
+			t.Errorf("%s: steady-state ServeTenant allocates %.2f B per request over %d requests, want < 1",
+				tier.name, bytesPer, steady)
 		}
 	}
 	writeBench(t, "BENCH_volume.json", report)
@@ -1111,6 +1126,27 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(replayBenchRecords, "req/run")
 }
 
+// BenchmarkNewPlayer measures building a strict player over the
+// million-record capture: validating every record and indexing each
+// one by key.
+func BenchmarkNewPlayer(b *testing.B) {
+	tr := replayBenchTrace()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := traxtents.NewTraceDevice(tr, traxtents.StrictReplay()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	records := float64(b.N) * replayBenchRecords
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
+}
+
 // TestBenchReplayJSON emits BENCH_replay.json: the trace pipeline at
 // capture scale, all in one run over one million-record trace. The
 // gates:
@@ -1140,6 +1176,7 @@ func TestBenchReplayJSON(t *testing.T) {
 		JSONDecodeMs      float64 `json:"json_decode_ms"`
 		DecodeSpeedup     float64 `json:"binary_decode_speedup"`
 		RoundTripExact    bool    `json:"round_trip_bit_exact"`
+		NewPlayerMs       float64 `json:"new_player_ms"`
 		ReplayReqPerSec   float64 `json:"replay_req_per_sec"`
 		ReplayNsPerReq    float64 `json:"replay_ns_per_req"`
 		ReplayAllocsPer   float64 `json:"replay_allocs_per_req"`
@@ -1204,12 +1241,23 @@ func TestBenchReplayJSON(t *testing.T) {
 			report.BinaryDecodeMs, report.JSONDecodeMs)
 	}
 
+	// Player set-up: validating and indexing every record. Reported,
+	// not gated.
+	var player *traxtents.TraceDevice
+	report.NewPlayerMs = math.Inf(1)
+	for p := 0; p < passes; p++ {
+		start := time.Now()
+		if player, err = traxtents.NewTraceDevice(fromBin, traxtents.StrictReplay()); err != nil {
+			t.Fatal(err)
+		}
+		if ms := float64(time.Since(start).Nanoseconds()) / 1e6; ms < report.NewPlayerMs {
+			report.NewPlayerMs = ms
+		}
+	}
+	t.Logf("new player over %d records: %.0f ms", replayBenchRecords, report.NewPlayerMs)
+
 	// Bulk replay: the decoded capture through cache → queue → strict
 	// player, windowed submit/drain, streaming statistics only.
-	player, err := traxtents.NewTraceDevice(fromBin, traxtents.StrictReplay())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := traxtents.NewDeviceStack(player, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package trace implements trace-driven storage: a Recorder that wraps
 // any device and captures each request's observed service time, and a
 // Player that serves requests from such a trace without any simulator —
-// replay of a captured workload costs a map lookup per request.
+// replay of a captured workload costs at most one key-table probe per
+// request, and none when requests arrive in trace order.
 //
 // The Player models the device as a single server: a request issued at
 // time t starts at max(t, previous completion) and completes one

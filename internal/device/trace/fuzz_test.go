@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"traxtents/internal/device"
@@ -92,5 +94,53 @@ func FuzzTraceCodec(f *testing.F) {
 				t.Fatalf("reader record %d differs from bulk decode", i)
 			}
 		}
+	})
+}
+
+// FuzzPlayer checks the player's key table against a per-key FIFO
+// model on small random traces. Every two bytes of data make one
+// record over a deliberately small key space, so keys repeat and
+// collide; on 64-bit builds some lengths sit 2^31, 2^32 or 3*2^31
+// above the rest.
+// mode picks the request order — trace order, a windowed shuffle, or a
+// full shuffle — and, with bit 2 set, mixes in requests for keys the
+// trace lacks. seed drives the shuffles.
+func FuzzPlayer(f *testing.F) {
+	f.Add([]byte{}, uint8(4), int64(0))
+	f.Add([]byte{0, 0, 0, 0, 1, 0}, uint8(0), int64(1))
+	f.Add([]byte{8, 1, 8, 5, 9, 1, 8, 1, 16, 2, 8, 5}, uint8(1), int64(2))
+	f.Add(bytes.Repeat([]byte{3, 7, 200, 6, 41, 2}, 40), uint8(6), int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, seed int64) {
+		const maxRecords = 512
+		tr := trace.Trace{Capacity: 1 << 20, SectorSize: 512}
+		if strconv.IntSize == 64 {
+			tr.Capacity = 1 << 34
+		}
+		for i := 0; i+1 < len(data) && i < 2*maxRecords; i += 2 {
+			sectors := 8 << (data[i+1] & 3)
+			if strconv.IntSize == 64 {
+				sectors += int(int64(data[i+1]>>2&3) << 31)
+			}
+			tr.Records = append(tr.Records, trace.Record{
+				LBN: int64(data[i]>>1) * 8, Sectors: sectors, Write: data[i]&1 == 1,
+				Service: float64(len(tr.Records) + 1),
+			})
+		}
+		rng := rand.New(rand.NewSource(seed))
+		reqs := recordRequests(tr)
+		if mode&4 != 0 {
+			reqs = append(reqs, absentRequests(tr)...)
+		}
+		shuffle := func(o []device.Request) { rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] }) }
+		switch mode % 3 {
+		case 1:
+			w := 2 + int(mode>>3)%15
+			for s := 0; s < len(reqs); s += w {
+				shuffle(reqs[s:min(s+w, len(reqs))])
+			}
+		case 2:
+			shuffle(reqs)
+		}
+		checkPlayerModel(t, tr, reqs)
 	})
 }

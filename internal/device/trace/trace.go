@@ -218,31 +218,31 @@ func (r *Recorder) Trace() Trace {
 
 // ---- Player ----
 
-type key struct {
-	lbn     int64
-	sectors int
-	write   bool
-}
-
 // Player serves requests from a recorded trace.
 type Player struct {
 	tr   Trace
 	mean float64
 
-	// Each distinct key has an id and a FIFO of its records, chained
-	// through nextSame; cursor[id] is the FIFO's unconsumed head (-1
-	// once exhausted). byKey, keyOf and nextSame are immutable after
-	// build; a run moves only cursor and hint.
-	byKey    map[key]int32
+	// Each distinct (LBN, Sectors, Write) key has an id and a FIFO of
+	// its records, chained through nextSame; cursor[id] is the FIFO's
+	// unconsumed head (-1 once exhausted). slots, keyOf and nextSame are
+	// immutable after build; a run moves only cursor and hint.
+	//
+	// slots is an open-addressing table (linear probing, a power of two
+	// at load <= 1/2) indexed by the top bits of the key's hash. A full
+	// slot packs the low 32 bits of the hash (high half) with the index
+	// of the key's first record plus one (low half); 0 is empty. A probe
+	// reads that record to compare the full key only when the hash bits
+	// agree.
+	slots    []uint64
+	shift    uint    // 64 - log2(len(slots))
 	keyOf    []int32 // record index -> key id
 	nextSame []int32 // record index -> next record with its key, or -1
 	cursor   []int32 // key id -> next record to consume, or -1
 
 	// hint is the record after the last one consumed. A replay that
 	// issues requests in trace order finds its key there, so match
-	// takes the key id from keyOf without hashing: at a million keys
-	// each map probe is a chain of cache misses that dominated the
-	// whole replay.
+	// takes the key id from keyOf without probing slots.
 	hint int
 
 	strict bool
@@ -267,6 +267,16 @@ var (
 	_ device.Named            = (*Player)(nil)
 )
 
+// hashKey mixes a full (LBN, Sectors, Write) key into 64 bits; the
+// final multiply is Fibonacci hashing, so the top bits index slots.
+func hashKey(lbn int64, sectors int, write bool) uint64 {
+	h := uint64(lbn)*0x9e3779b97f4a7c15 ^ uint64(sectors)<<1
+	if write {
+		h ^= 1
+	}
+	return (h ^ h>>29) * 0x9e3779b97f4a7c15
+}
+
 // NewPlayer builds a replay device from a trace. The trace is validated
 // here too (traces can be built in code, not only decoded), with the
 // record index in any error.
@@ -279,28 +289,36 @@ func NewPlayer(tr Trace, opts ...Option) (*Player, error) {
 			device.ErrInvalidRequest, len(tr.Records))
 	}
 	n := len(tr.Records)
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
 	p := &Player{
 		tr:       tr,
-		byKey:    make(map[key]int32, n),
+		slots:    make([]uint64, 1<<bits),
+		shift:    64 - bits,
 		keyOf:    make([]int32, n),
 		nextSame: make([]int32, n),
 	}
 	var sum float64
-	for i, rec := range tr.Records {
-		if err := checkRecord(i, rec, tr.Capacity); err != nil {
+	keys := int32(0)
+	for i := range tr.Records {
+		rec := &tr.Records[i]
+		if err := checkRecord(i, *rec, tr.Capacity); err != nil {
 			return nil, err
 		}
-		k := key{rec.LBN, rec.Sectors, rec.Write}
-		id, ok := p.byKey[k]
-		if !ok {
-			id = int32(len(p.byKey))
-			p.byKey[k] = id
+		h := hashKey(rec.LBN, rec.Sectors, rec.Write)
+		if s, first := p.find(h, rec.LBN, rec.Sectors, rec.Write); first < 0 {
+			p.slots[s] = h<<32 | uint64(i+1)
+			p.keyOf[i] = keys
+			keys++
+		} else {
+			p.keyOf[i] = p.keyOf[first]
 		}
-		p.keyOf[i] = id
 		sum += rec.Service
 	}
 	// Chain each key's records back to front, so cursor ends at the head.
-	p.cursor = make([]int32, len(p.byKey))
+	p.cursor = make([]int32, keys)
 	for id := range p.cursor {
 		p.cursor[id] = -1
 	}
@@ -318,6 +336,27 @@ func NewPlayer(tr Trace, opts ...Option) (*Player, error) {
 	return p, nil
 }
 
+// find probes slots for the key hashed to h. It returns the key's
+// slot and the index of its first record, or the empty slot where the
+// key would go and -1.
+func (p *Player) find(h uint64, lbn int64, sectors int, write bool) (slot, first int) {
+	tag := h << 32
+	mask := len(p.slots) - 1
+	for s := int(h >> p.shift); ; s = (s + 1) & mask {
+		e := p.slots[s]
+		if e == 0 {
+			return s, -1
+		}
+		if e&^math.MaxUint32 != tag {
+			continue
+		}
+		r := int(uint32(e)) - 1
+		if rec := &p.tr.Records[r]; rec.LBN == lbn && rec.Sectors == sectors && rec.Write == write {
+			return s, r
+		}
+	}
+}
+
 // match consumes the next unused record for the request's key.
 func (p *Player) match(req device.Request) (float64, bool) {
 	id := int32(-1)
@@ -327,10 +366,11 @@ func (p *Player) match(req device.Request) (float64, bool) {
 		}
 	}
 	if id < 0 {
-		var ok bool
-		if id, ok = p.byKey[key{req.LBN, req.Sectors, req.Write}]; !ok {
+		_, first := p.find(hashKey(req.LBN, req.Sectors, req.Write), req.LBN, req.Sectors, req.Write)
+		if first < 0 {
 			return 0, false
 		}
+		id = p.keyOf[first]
 	}
 	i := p.cursor[id]
 	if i < 0 {

@@ -2,7 +2,9 @@ package trace_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -228,66 +230,181 @@ func TestStrictMissIsTyped(t *testing.T) {
 	}
 }
 
-// Whatever order requests arrive in — trace order, locally shuffled
-// as a scheduler would, or fully shuffled — each consumes the oldest
-// unconsumed record with its key, as a per-key FIFO model says.
-func TestPlayerMatchesKeyFIFO(t *testing.T) {
-	type k struct {
-		lbn   int64
-		write bool
+// modelKey is a player key in full: records match requests on all
+// three fields.
+type modelKey struct {
+	lbn     int64
+	sectors int
+	write   bool
+}
+
+func keyOfRecord(rec trace.Record) modelKey { return modelKey{rec.LBN, rec.Sectors, rec.Write} }
+
+// recordRequests returns one request per record, in trace order.
+func recordRequests(tr trace.Trace) []device.Request {
+	reqs := make([]device.Request, len(tr.Records))
+	for i, rec := range tr.Records {
+		reqs[i] = device.Request{LBN: rec.LBN, Sectors: rec.Sectors, Write: rec.Write}
 	}
+	return reqs
+}
+
+// absentRequests returns in-bounds requests whose keys no record of tr
+// carries: each differs from some record's key in one field only.
+func absentRequests(tr trace.Trace) []device.Request {
+	present := map[modelKey]bool{}
+	for _, rec := range tr.Records {
+		present[keyOfRecord(rec)] = true
+	}
+	seen := map[modelKey]bool{}
+	var reqs []device.Request
+	add := func(k modelKey) {
+		if present[k] || seen[k] || device.CheckBounds(k.lbn, k.sectors, tr.Capacity) != nil {
+			return
+		}
+		seen[k] = true
+		reqs = append(reqs, device.Request{LBN: k.lbn, Sectors: k.sectors, Write: k.write})
+	}
+	add(modelKey{0, 1, false})
+	for _, rec := range tr.Records {
+		k := keyOfRecord(rec)
+		add(modelKey{k.lbn, k.sectors + 1, k.write})
+		add(modelKey{k.lbn, k.sectors, !k.write})
+		add(modelKey{k.lbn + 1, k.sectors, k.write})
+		if len(reqs) >= 16 {
+			break
+		}
+	}
+	return reqs
+}
+
+// checkPlayerModel serves reqs through a strict player over tr, twice
+// with a Reset between, and checks every result against a per-key
+// FIFO model: a request whose key still has unconsumed records gets
+// the oldest one's service time; any other fails with ErrNoRecord and
+// counts as a miss. Record services must be distinct small integers,
+// so the served time names the record exactly.
+func checkPlayerModel(t testing.TB, tr trace.Trace, reqs []device.Request) {
+	t.Helper()
+	p, err := trace.NewPlayer(tr, trace.Strict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := 0
+	for run := 0; run < 2; run++ {
+		fifo := map[modelKey][]float64{}
+		for _, rec := range tr.Records {
+			k := keyOfRecord(rec)
+			fifo[k] = append(fifo[k], rec.Service)
+		}
+		for j, req := range reqs {
+			k := modelKey{req.LBN, req.Sectors, req.Write}
+			res, err := p.Serve(p.Now(), req)
+			if q := fifo[k]; len(q) > 0 {
+				if err != nil {
+					t.Fatalf("run %d: request %d %+v: %v", run, j, req, err)
+				}
+				if got := res.Done - res.Start; got != q[0] {
+					t.Fatalf("run %d: request %d %+v served %g, want FIFO head %g", run, j, req, got, q[0])
+				}
+				fifo[k] = q[1:]
+				continue
+			}
+			if !errors.Is(err, trace.ErrNoRecord) {
+				t.Fatalf("run %d: request %d %+v has no record left but got %v, want ErrNoRecord", run, j, req, err)
+			}
+			misses++
+		}
+		if p.Misses() != misses {
+			t.Fatalf("run %d: player counted %d misses, model %d", run, p.Misses(), misses)
+		}
+		p.Reset()
+	}
+}
+
+// Whatever order requests arrive in — trace order, locally shuffled
+// as a scheduler would, fully shuffled, or mixed with requests for
+// keys the trace lacks — each consumes the oldest unconsumed record
+// with its key, as a per-key FIFO model says.
+func TestPlayerMatchesKeyFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := trace.Trace{Name: "fifo", Capacity: 1000, SectorSize: 512}
+	const big = int64(1) << 31
+	// random builds n records over a small key space, so keys repeat.
+	random := func(n int, capacity int64) trace.Trace {
+		tr := trace.Trace{Capacity: capacity, SectorSize: 512}
+		for i := 0; i < n; i++ {
+			tr.Records = append(tr.Records, trace.Record{
+				LBN: int64(rng.Intn(n/4+1)) * 8, Sectors: 8 << uint(rng.Intn(2)), Write: rng.Intn(3) == 0,
+				Service: float64(i + 1),
+			})
+		}
+		return tr
+	}
+	// keyed builds n records whose keys cycle through keys.
+	keyed := func(n int, capacity int64, keys ...modelKey) trace.Trace {
+		tr := trace.Trace{Capacity: capacity, SectorSize: 512}
+		for i := 0; i < n; i++ {
+			k := keys[rng.Intn(len(keys))]
+			tr.Records = append(tr.Records, trace.Record{LBN: k.lbn, Sectors: k.sectors, Write: k.write, Service: float64(i + 1)})
+		}
+		return tr
+	}
+	mixed := trace.Trace{Name: "fifo", Capacity: 1000, SectorSize: 512}
 	for i := 0; i < 400; i++ {
-		tr.Records = append(tr.Records, trace.Record{
+		mixed.Records = append(mixed.Records, trace.Record{
 			LBN: int64(rng.Intn(12)) * 8, Sectors: 8, Write: rng.Intn(3) == 0,
 			Service: float64(i + 1),
 		})
 	}
-	shuffle := func(o []int) { rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] }) }
-	orders := map[string]func([]int){
-		"trace": func([]int) {},
-		"windowed": func(o []int) {
+	cases := map[string]trace.Trace{
+		"":             mixed,
+		"sectors-only": keyed(64, 1000, modelKey{0, 8, false}, modelKey{0, 16, false}, modelKey{0, 24, false}),
+		"write-only":   keyed(64, 1000, modelKey{40, 8, false}, modelKey{40, 8, true}),
+		"same-key":     keyed(100, 1000, modelKey{16, 8, true}),
+	}
+	if strconv.IntSize == 64 {
+		// A JSON trace on a large device may carry sectors >= 2^31; keys
+		// whose lengths differ by exactly 2^31 or 2^32 stay distinct.
+		cases["sectors-2^31"] = keyed(64, 8*big, modelKey{8, 8, false}, modelKey{8, int(big + 8), false}, modelKey{8, int(2*big + 8), false})
+	}
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 4096} {
+		cases[fmt.Sprintf("n=%d", n)] = random(n, 1<<20)
+	}
+	shuffle := func(o []device.Request) { rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] }) }
+	orders := []struct {
+		name    string
+		reorder func(tr trace.Trace, o []device.Request) []device.Request
+	}{
+		{"trace", func(_ trace.Trace, o []device.Request) []device.Request { return o }},
+		{"windowed", func(_ trace.Trace, o []device.Request) []device.Request {
 			for w := 0; w < len(o); w += 8 {
 				shuffle(o[w:min(w+8, len(o))])
 			}
-		},
-		"shuffled": shuffle,
+			return o
+		}},
+		{"shuffled", func(_ trace.Trace, o []device.Request) []device.Request { shuffle(o); return o }},
+		{"absent", func(tr trace.Trace, o []device.Request) []device.Request {
+			o = append(o, absentRequests(tr)...)
+			shuffle(o)
+			return o
+		}},
 	}
-	for name, reorder := range orders {
-		t.Run(name, func(t *testing.T) {
-			p, err := trace.NewPlayer(tr, trace.Strict())
-			if err != nil {
-				t.Fatal(err)
+	for cname, tr := range cases {
+		for _, o := range orders {
+			name := o.name
+			if cname != "" {
+				name = cname + "/" + o.name
 			}
-			for run := 0; run < 2; run++ {
-				fifo := map[k][]float64{}
-				for _, rec := range tr.Records {
-					fifo[k{rec.LBN, rec.Write}] = append(fifo[k{rec.LBN, rec.Write}], rec.Service)
+			t.Run(name, func(t *testing.T) {
+				reqs := o.reorder(tr, recordRequests(tr))
+				// Once every record is consumed, repeating a request
+				// finds its key exhausted (or absent): a miss.
+				if len(tr.Records) > 0 {
+					reqs = append(reqs, reqs[0])
 				}
-				order := make([]int, len(tr.Records))
-				for i := range order {
-					order[i] = i
-				}
-				reorder(order)
-				for _, i := range order {
-					rec := tr.Records[i]
-					res, err := p.Serve(p.Now(), device.Request{LBN: rec.LBN, Sectors: rec.Sectors, Write: rec.Write})
-					if err != nil {
-						t.Fatalf("run %d: Serve: %v", run, err)
-					}
-					q := fifo[k{rec.LBN, rec.Write}]
-					if got := res.Done - res.Start; got != q[0] {
-						t.Fatalf("run %d: request for record %d served %g, want FIFO head %g", run, i, got, q[0])
-					}
-					fifo[k{rec.LBN, rec.Write}] = q[1:]
-				}
-				if _, err := p.Serve(p.Now(), device.Request{LBN: 0, Sectors: 8}); !errors.Is(err, trace.ErrNoRecord) {
-					t.Fatalf("run %d: exhausted player served: %v", run, err)
-				}
-				p.Reset()
-			}
-		})
+				checkPlayerModel(t, tr, reqs)
+			})
+		}
 	}
 }
 

@@ -6,10 +6,15 @@ import (
 
 // The tenant-aware tier schedulers plug into sched.Queue but read
 // per-request tenant metadata the Pending record does not carry: the
-// Manager appends one tag per accepted submission, in the tier's
-// sequence order, so Pick can index seqTag/seqDeadline
-// by cands[i].Seq. Both break ties by arrival order (strict <, first
-// candidate wins), keeping runs bit-reproducible.
+// Manager stores each accepted span's sort key (SFQ start tag or EDF
+// deadline) in the shard's route for it, so Pick reads
+// routes[cands[i].Seq-routeBase].key. Routes hold only the current
+// batch, so the keys take no memory beyond the requests in flight.
+// Both break ties by arrival order (strict <, first candidate wins),
+// keeping runs bit-reproducible.
+
+// key returns the sort key of the span the shard's tier numbered seq.
+func (s *shard) key(seq int) float64 { return s.routes[seq-s.routeBase].key }
 
 // fairShare is start-time fair queueing (SFQ) across tenants: each
 // submission carries a start tag S = max(v, tenant.lastFinish) and
@@ -24,9 +29,9 @@ type fairShare struct {
 func (f *fairShare) Name() string { return tierFair }
 
 func (f *fairShare) Pick(cands []sched.Pending, head int64) int {
-	best, bestTag := 0, f.sh.seqTag[cands[0].Seq]
+	best, bestTag := 0, f.sh.key(cands[0].Seq)
 	for i := 1; i < len(cands); i++ {
-		if tag := f.sh.seqTag[cands[i].Seq]; tag < bestTag {
+		if tag := f.sh.key(cands[i].Seq); tag < bestTag {
 			best, bestTag = i, tag
 		}
 	}
@@ -46,9 +51,9 @@ type edf struct {
 func (e *edf) Name() string { return tierEDF }
 
 func (e *edf) Pick(cands []sched.Pending, head int64) int {
-	best, bestD := 0, e.sh.seqDeadline[cands[0].Seq]
+	best, bestD := 0, e.sh.key(cands[0].Seq)
 	for i := 1; i < len(cands); i++ {
-		if d := e.sh.seqDeadline[cands[i].Seq]; d < bestD {
+		if d := e.sh.key(cands[i].Seq); d < bestD {
 			best, bestD = i, d
 		}
 	}

@@ -82,17 +82,18 @@ type shard struct {
 	freeExt   []int   // min-heap of returned extent indices
 	nextFresh int     // lowest never-allocated extent index
 
-	// routes[i] is the span slot of the current batch that tier seq
-	// routeBase+i belongs to, -1 once folded. A successful Drain
-	// empties it.
+	// routes[i] routes tier seq routeBase+i of the current batch. A
+	// successful Drain empties it, so it holds only the batch's spans.
 	routeBase int
-	routes    []int
+	routes    []route
 
-	// Tenant metadata for the tier scheduler, indexed by tier sequence
-	// number (only populated for the fair and edf tiers).
-	seqTag      []float64
-	seqDeadline []float64
-	vtime       float64 // SFQ virtual time
+	vtime float64 // SFQ virtual time
+}
+
+// route is one span the current batch submitted to a shard tier.
+type route struct {
+	slot int     // span slot in Manager.spans, -1 once folded
+	key  float64 // the tier scheduler's sort key: SFQ start tag or EDF deadline
 }
 
 // extents returns the number of extents in the shard's table.
@@ -693,17 +694,19 @@ func (m *Manager) split(v *Volume, req device.Request) []span {
 	return spans
 }
 
-// tag records the tenant metadata the tier scheduler will read for the
-// submission just accepted on sh, advancing the tenant's SFQ finish
-// tag from start, the start tag taken before the submission.
-func (m *Manager) tag(sh *shard, v *Volume, start, release float64, sectors int) {
+// tag returns the sort key the tier scheduler reads for the submission
+// just accepted on sh (0 on tiers that read none), advancing the
+// tenant's SFQ finish tag from start, the start tag taken before the
+// submission.
+func (m *Manager) tag(sh *shard, v *Volume, start, release float64, sectors int) float64 {
 	switch m.cfg.tier {
 	case tierFair:
 		v.lastFinish[sh.idx] = start + float64(sectors)/v.weight
-		sh.seqTag = append(sh.seqTag, start)
+		return start
 	case tierEDF:
-		sh.seqDeadline = append(sh.seqDeadline, release+v.deadline)
+		return release + v.deadline
 	}
+	return 0
 }
 
 // Submit enqueues one tenant request issued at the given host time
@@ -780,8 +783,7 @@ func (m *Manager) route(v *Volume, issue, release float64, req device.Request) e
 			v.unresolved--
 			return err
 		}
-		m.tag(sp.sh, v, start, release, sp.sectors)
-		sp.sh.routes = append(sp.sh.routes, span0+si)
+		sp.sh.routes = append(sp.sh.routes, route{slot: span0 + si, key: m.tag(sp.sh, v, start, release, sp.sectors)})
 		// The tier's Submit may have committed earlier decisions
 		// internally, and its next decision instant moved: re-sweep the
 		// shard on the next fold and reschedule its event.
@@ -840,12 +842,12 @@ func (m *Manager) foldOne(c *sched.Completion) {
 	}
 	sh := m.foldCur
 	i := c.Seq - sh.routeBase
-	if i < 0 || i >= len(sh.routes) || sh.routes[i] < 0 {
+	if i < 0 || i >= len(sh.routes) || sh.routes[i].slot < 0 {
 		m.foldErr = fmt.Errorf("volume: shard %d completion %d (%+v) has no owner", sh.idx, c.Seq, c.Res.Req)
 		return
 	}
-	k := sh.routes[i]
-	sh.routes[i] = -1
+	k := sh.routes[i].slot
+	sh.routes[i].slot = -1
 	m.spans[k].bus = c.Res.BusTime
 	j := &m.joins[m.spans[k].ji]
 	accumulate(&j.res, &j.started, &c.Res)
