@@ -8,6 +8,7 @@ import (
 
 	"traxtents/internal/device"
 	"traxtents/internal/device/cache"
+	"traxtents/internal/device/devtest"
 	"traxtents/internal/device/sched"
 	"traxtents/internal/device/striped"
 )
@@ -44,8 +45,9 @@ func pinQueue(t *testing.T, depth int, s sched.Scheduler) device.Device {
 }
 
 // pinDigest serves n seeded requests through c and hashes every Result
-// followed by the final Stats. Floats print in their shortest exact
-// form, so any one-ulp move changes the digest. Nine in ten requests
+// (devtest.WriteResult's field list) followed by the final Stats.
+// Floats print in their shortest exact form, so any one-ulp move
+// changes the digest. Nine in ten requests
 // land in a hot region twice the cache budget, so the stream
 // hits, misses, fills, evicts, and (write-back) flushes dirty victims;
 // one in sixteen is FUA.
@@ -71,7 +73,7 @@ func pinDigest(t *testing.T, c *cache.Cache, n int, seed int64) string {
 		if err != nil {
 			t.Fatalf("Serve %d (%+v): %v", i, req, err)
 		}
-		fmt.Fprintf(h, "%+v\n", res)
+		devtest.WriteResult(h, res)
 		switch rng.Intn(3) {
 		case 0:
 			at = res.Done
@@ -102,18 +104,18 @@ func TestServePin(t *testing.T) {
 	clook := func(t *testing.T) device.Device { return pinQueue(t, 8, sched.CLOOK()) }
 	sstf := func(t *testing.T) device.Device { return pinQueue(t, 4, sched.SSTF()) }
 	pins := []servePin{
-		{name: "wt/sim", inner: func(t *testing.T) device.Device { return newSim(t, 4) }, digest: "1d405304cb55395a"},
-		{name: "wt/striped", inner: func(t *testing.T) device.Device { return pinArray(t) }, digest: "7c772edc97b3fbd9"},
-		{name: "wt/parity", inner: func(t *testing.T) device.Device { return pinArray(t, striped.WithParity()) }, digest: "96c4e208ea2096f5"},
-		{name: "wt/clook-d8", inner: clook, digest: "2ee445672d8a0af1"},
-		{name: "wt/sstf-d4", inner: sstf, digest: "2ee445672d8a0af1"},
-		{name: "wb/sim", writeBack: true, inner: func(t *testing.T) device.Device { return newSim(t, 4) }, digest: "48e5aac5c72af274"},
-		{name: "wb/striped", writeBack: true, inner: func(t *testing.T) device.Device { return pinArray(t) }, digest: "c5220a0a09a4eb31"},
-		{name: "wb/clook-d8", writeBack: true, inner: clook, digest: "5e21f7a9f559a205"},
-		{name: "wb/sstf-d4", writeBack: true, inner: sstf, digest: "db72caca1663c6f4"},
+		{name: "wt/sim", inner: func(t *testing.T) device.Device { return newSim(t, 4) }, digest: "174a5ac8d5d89b02"},
+		{name: "wt/striped", inner: func(t *testing.T) device.Device { return pinArray(t) }, digest: "f1611c7ba99ae08f"},
+		{name: "wt/parity", inner: func(t *testing.T) device.Device { return pinArray(t, striped.WithParity()) }, digest: "0a7af112ca0d0ee5"},
+		{name: "wt/clook-d8", inner: clook, digest: "cd971aabe634b447"},
+		{name: "wt/sstf-d4", inner: sstf, digest: "cd971aabe634b447"},
+		{name: "wb/sim", writeBack: true, inner: func(t *testing.T) device.Device { return newSim(t, 4) }, digest: "2c063cef0cc38f8f"},
+		{name: "wb/striped", writeBack: true, inner: func(t *testing.T) device.Device { return pinArray(t) }, digest: "f3ee381860959b87"},
+		{name: "wb/clook-d8", writeBack: true, inner: clook, digest: "f4e18f90120c6ae3"},
+		{name: "wb/sstf-d4", writeBack: true, inner: sstf, digest: "f3ff0447cb7277ac"},
 		{name: "wt/striped-queued", inner: func(t *testing.T) device.Device {
 			return pinArray(t, striped.WithQueuedChildren(sched.WithDepth(4), sched.WithScheduler(sched.CLOOK())))
-		}, digest: "86b438f149c2e7fc"},
+		}, digest: "186ea783e95c7162"},
 	}
 	for _, p := range pins {
 		t.Run(p.name, func(t *testing.T) {

@@ -2,6 +2,8 @@ package devtest
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -555,4 +557,19 @@ func fuzz(t *testing.T, name string, mk func(t *testing.T) device.Device, n int,
 			t.Fatalf("accepted %d requests but Now = %g", accepted, now)
 		}
 	})
+}
+
+// WriteResult writes one line naming every field of a Result that
+// callers read — the request, the five timestamps, the six-phase
+// media breakdown, the bus time, and the hit and prefetch flags — for
+// digest-pinning tests. Floats print in their shortest exact form, so
+// any one-ulp move changes the line. The list is explicit rather than
+// %+v so that a pin survives layout changes that add or drop fields no
+// caller reads.
+func WriteResult(w io.Writer, r device.Result) {
+	tm := &r.Timing
+	fmt.Fprintf(w, "%+v %v %v %v %v %v %v %v %v %v %v %v %v %v\n",
+		r.Req, r.Issue, r.Start, r.MediaEnd, r.Done,
+		tm.Seek, tm.Settle, tm.Latency, tm.Transfer, tm.Switch, tm.Excursion,
+		r.BusTime, r.CacheHit, r.Prefetched)
 }

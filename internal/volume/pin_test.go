@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"traxtents/internal/device"
+	"traxtents/internal/device/devtest"
 	"traxtents/internal/volume"
 )
 
@@ -20,12 +21,12 @@ import (
 // span order (equal deadlines, rising fair-share tags).
 func TestServeTenantPin(t *testing.T) {
 	pins := []struct{ tier, digest string }{
-		{"fcfs", "80674afb442aa0b1"},
-		{"fair", "71716f59d3899fa5"},
-		{"edf", "71716f59d3899fa5"},
-		{"sstf", "0e997ab0729b4e21"},
-		{"clook", "71716f59d3899fa5"},
-		{"traxtent", "71716f59d3899fa5"},
+		{"fcfs", "a64096333b82c98c"},
+		{"fair", "3144dd5cb6df6ca3"},
+		{"edf", "3144dd5cb6df6ca3"},
+		{"sstf", "ce81fb66c9a4b928"},
+		{"clook", "3144dd5cb6df6ca3"},
+		{"traxtent", "3144dd5cb6df6ca3"},
 	}
 	for _, p := range pins {
 		t.Run(p.tier, func(t *testing.T) {
@@ -54,7 +55,7 @@ func TestServeTenantPin(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ServeTenant %d (%s, %+v): %v", i, name, req, err)
 				}
-				fmt.Fprintf(h, "%+v\n", res)
+				devtest.WriteResult(h, res)
 				at += rng.Float64() * 6
 			}
 			fmt.Fprintf(h, "%+v\n%+v\n", m.Stats(), m.Aggregate())
