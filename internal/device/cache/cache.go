@@ -6,6 +6,7 @@ import (
 
 	"traxtents/internal/device"
 	"traxtents/internal/disk/geom"
+	"traxtents/internal/traxtent"
 )
 
 // config collects constructor options.
@@ -183,10 +184,10 @@ func (ll *lruList) remove(n *line) {
 type Cache struct {
 	inner device.Device
 
-	bounds   []int64 // track-granular line boundaries; nil → uniform
-	uniform  int64   // uniform line size in sectors (bounds == nil)
-	capLBNs  int64
-	lastLine int // memoized lineOf hit
+	bounds  []int64        // track-granular line boundaries; nil → uniform
+	index   traxtent.Index // lineOf's lookup over bounds
+	uniform int64          // uniform line size in sectors (bounds == nil)
+	capLBNs int64
 
 	capSectors  int64
 	readahead   bool
@@ -294,7 +295,11 @@ func New(d device.Device, opts ...Option) (*Cache, error) {
 	c.settleFn = c.settle
 	if bp, ok := d.(device.BoundaryProvider); ok {
 		if b := bp.TrackBoundaries(); len(b) >= 2 {
-			c.bounds = b
+			index, err := traxtent.NewIndex(b)
+			if err != nil {
+				return nil, fmt.Errorf("cache: line boundaries: %w", err)
+			}
+			c.bounds, c.index = b, index
 		}
 	}
 	if c.bounds == nil {
@@ -324,25 +329,13 @@ func (c *Cache) Err() error { return c.err }
 // ---- line geometry ----
 
 // lineOf returns the line index holding lbn: one division for uniform
-// lines, a memoized neighbour check then binary search for
-// track-granular boundaries (sequential and track-local streams resolve
-// without searching).
+// lines, one bucket lookup in the boundary index for track-granular
+// ones.
 func (c *Cache) lineOf(lbn int64) int {
 	if c.uniform > 0 {
 		return int(lbn / c.uniform)
 	}
-	if j := c.lastLine; c.bounds[j] <= lbn {
-		if lbn < c.bounds[j+1] {
-			return j
-		}
-		if j+2 < len(c.bounds) && lbn < c.bounds[j+2] {
-			c.lastLine = j + 1
-			return j + 1
-		}
-	}
-	j := sort.Search(len(c.bounds), func(i int) bool { return c.bounds[i] > lbn }) - 1
-	c.lastLine = j
-	return j
+	return c.index.Find(lbn)
 }
 
 func (c *Cache) lineStart(i int) int64 {
@@ -385,16 +378,18 @@ func (c *Cache) Serve(at float64, req device.Request) (device.Result, error) {
 	return res, nil
 }
 
-// portResult builds the timing record of a request served entirely by
-// the host port (hits, write-back absorbs): serialized on the port
+// servePort serves a request entirely from the host port (hits,
+// write-back absorbs) into batch slot pos: serialized on the port
 // clock, a fixed overhead plus the transfer at the port rate.
-func (c *Cache) portResult(at float64, req device.Request) device.Result {
+func (c *Cache) servePort(at float64, req device.Request, pos int) {
 	start := max(at, c.portFree)
 	xfer := float64(req.Sectors) * c.hitSectorMs
 	done := start + c.hitOverhead + xfer
 	c.portFree = done
 	c.noteDone(done)
-	return device.Result{
+	s := &c.pend[pos]
+	s.filled = true
+	s.res = device.Result{
 		Req:      req,
 		Issue:    at,
 		Start:    start,

@@ -21,6 +21,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"traxtents/internal/device"
 )
@@ -80,7 +81,8 @@ func (c *Cache) Submit(at float64, req device.Request) (int, error) {
 		return 0, err
 	}
 	pos := len(c.pend)
-	c.pend = append(c.pend, slot{})
+	c.pend = slices.Grow(c.pend, 1)[:pos+1]
+	c.pend[pos].filled = false
 	if err := c.dispatch(at, req, pos); err != nil {
 		c.pend = c.pend[:pos]
 		return 0, err
@@ -128,7 +130,7 @@ func (c *Cache) submitRead(at float64, req device.Request, pos int) error {
 	if c.covered(first, last, req.LBN, end) {
 		c.touchLines(first, last)
 		c.stats.Hits++
-		c.pend[pos] = slot{filled: true, res: c.portResult(at, req)}
+		c.servePort(at, req, pos)
 		return nil
 	}
 	fillLBN, fillEnd := req.LBN, end
@@ -176,7 +178,7 @@ func (c *Cache) submitWrite(at float64, req device.Request, pos int) error {
 			return err
 		}
 		c.stats.Absorbed++
-		c.pend[pos] = slot{filled: true, res: c.portResult(at, req)}
+		c.servePort(at, req, pos)
 		return nil
 	}
 	if err := c.forward(at, req, pos); err != nil {
@@ -243,9 +245,11 @@ func (c *Cache) resolve(rt route, res *device.Result) {
 	if rt.kind == routeFlush {
 		return
 	}
-	c.pend[rt.pos] = slot{filled: true, res: *res}
+	s := &c.pend[rt.pos]
+	s.filled = true
+	s.res = *res
 	if rt.kind == routeFill {
-		c.pend[rt.pos].res.Req = rt.req
+		s.res.Req = rt.req
 	}
 }
 

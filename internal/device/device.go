@@ -35,7 +35,7 @@ type Result struct {
 
 	// Timing is the media-phase breakdown; zero for cache hits and for
 	// backends (trace replay, arrays) that do not expose one.
-	Timing     mech.Timing
+	Timing     mech.Breakdown
 	BusTime    float64 // time the bus was dedicated to this request
 	CacheHit   bool
 	Prefetched int // sectors served from a firmware prefetch stream
@@ -80,6 +80,34 @@ type Batch interface {
 	// valid only during the call. fn must not call back into the
 	// device. The order of calls is the implementation's.
 	DrainEach(fn func(seq int, r *Result)) error
+}
+
+// InPlace is implemented by devices that can write a result into
+// caller-owned memory. A layer that forwards requests (a queue into
+// its completion slot, an array into its per-child scratch) serves its
+// inner device through ServeInto, so the result is written once where
+// it will be read instead of being returned by value and copied at
+// every layer. A device implementing InPlace derives its Serve from
+// ServeInto.
+type InPlace interface {
+	// ServeInto is Serve writing the result into *res: every field is
+	// overwritten on success. When err is non-nil *res is unspecified
+	// and must not be read.
+	ServeInto(at float64, req Request, res *Result) error
+}
+
+// ServeInto serves req on d into *res: in place when d is InPlace,
+// through Serve and one copy otherwise. On error *res is unspecified.
+func ServeInto(d Device, at float64, req Request, res *Result) error {
+	if p, ok := d.(InPlace); ok {
+		return p.ServeInto(at, req, res)
+	}
+	r, err := d.Serve(at, req)
+	if err != nil {
+		return err
+	}
+	*res = r
+	return nil
 }
 
 // Rotational is implemented by devices with a (single, known) spindle

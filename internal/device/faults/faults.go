@@ -80,10 +80,16 @@ type Injector struct {
 	failAt      float64
 	lost        bool
 	stats       Stats
+
+	// res is Serve's result buffer: ServeInto hands its destination to
+	// the wrapped device through an interface call, so a local would
+	// escape to the heap on every request.
+	res device.Result
 }
 
 var (
 	_ device.Device           = (*Injector)(nil)
+	_ device.InPlace          = (*Injector)(nil)
 	_ device.Rotational       = (*Injector)(nil)
 	_ device.BoundaryProvider = (*Injector)(nil)
 	_ device.Mapped           = (*Injector)(nil)
@@ -232,8 +238,8 @@ func (in *Injector) heal(lbn int64, sectors int) {
 
 // fail wraps one injected fault in the typed error record. The wrapped
 // device was not touched: the clock is exactly as before the request.
-func (in *Injector) fail(req device.Request, class error) (device.Result, error) {
-	return device.Result{}, &device.Error{Op: in.opName(), Req: req, Err: class}
+func (in *Injector) fail(req device.Request, class error) error {
+	return &device.Error{Op: in.opName(), Req: req, Err: class}
 }
 
 func (in *Injector) opName() string {
@@ -248,8 +254,17 @@ func (in *Injector) opName() string {
 // then transient timeouts. Only a request that passes every gate
 // reaches the wrapped device, so failures leave the clock untouched.
 func (in *Injector) Serve(at float64, req device.Request) (device.Result, error) {
-	if err := device.CheckRequest(in, req); err != nil {
+	if err := in.ServeInto(at, req, &in.res); err != nil {
 		return device.Result{}, err
+	}
+	return in.res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace):
+// the wrapped device serves in place when it can.
+func (in *Injector) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.CheckRequest(in, req); err != nil {
+		return err
 	}
 	if in.lost || at >= in.failAt {
 		in.lost = true
@@ -266,15 +281,14 @@ func (in *Injector) Serve(at float64, req device.Request) (device.Result, error)
 		in.stats.Timeout++
 		return in.fail(req, device.ErrTimeout)
 	}
-	res, err := in.inner.Serve(at, req)
-	if err != nil {
-		return device.Result{}, err
+	if err := device.ServeInto(in.inner, at, req, res); err != nil {
+		return err
 	}
 	if req.Write && len(in.bad) > 0 {
 		in.heal(req.LBN, req.Sectors)
 	}
 	in.stats.Served++
-	return res, nil
+	return nil
 }
 
 // ---- device.Device identity and forwarded capabilities ----

@@ -205,7 +205,7 @@ func mergeOp(out *device.Result, first *bool, res device.Result) {
 	out.BusTime += res.BusTime
 	out.Prefetched += res.Prefetched
 	out.CacheHit = false
-	out.Timing = mech.Timing{}
+	out.Timing = mech.Breakdown{}
 }
 
 // Serve services one logical request, remapping it onto physical

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"traxtents/internal/device"
@@ -140,14 +141,14 @@ func (q *Queue) Submit(at float64, req device.Request) (int, error) {
 	q.stats.Submitted++
 
 	if q.fcfs {
-		res, err := q.inner.Serve(at, req)
-		if err != nil {
+		c := q.slot(seq)
+		if err := device.ServeInto(q.inner, at, req, &c.Res); err != nil {
+			q.completed = q.completed[:len(q.completed)-1]
 			q.err = &device.Error{Op: "sched dispatch", Req: req, Err: err}
 			return seq, q.err
 		}
-		q.note(res)
+		q.note(&c.Res)
 		q.stats.PendingAtDispatchSum++
-		q.completed = append(q.completed, Completion{Seq: seq, Res: res})
 		return seq, nil
 	}
 
@@ -235,7 +236,7 @@ func (q *Queue) TakeCompleted() []Completion {
 // reallocates in steady state, which is what keeps event-core fold
 // loops at zero allocations per request. fn receives a pointer into
 // the recycled buffer: it must neither retain it past the call nor
-// call back into the queue. (A completion is a ~200-byte record; the
+// call back into the queue. (A completion is a 136-byte record; the
 // pointer spares fold loops two full copies per request.)
 func (q *Queue) ConsumeCompleted(fn func(*Completion)) {
 	for i := range q.completed {
@@ -287,8 +288,18 @@ func (q *Queue) Serve(at float64, req device.Request) (device.Result, error) {
 	return device.Result{}, fmt.Errorf("sched: flushed request %+v has no completion", req)
 }
 
+// slot appends a completion for seq and returns it; the caller serves
+// the request straight into its Res, or drops the slot on failure.
+func (q *Queue) slot(seq int) *Completion {
+	n := len(q.completed)
+	q.completed = slices.Grow(q.completed, 1)[:n+1]
+	c := &q.completed[n]
+	c.Seq = seq
+	return c
+}
+
 // note records a completion's effect on the clock and dispatch count.
-func (q *Queue) note(res device.Result) {
+func (q *Queue) note(res *device.Result) {
 	q.stats.Dispatched++
 	if res.Done > q.lastDone {
 		q.lastDone = res.Done
@@ -355,11 +366,12 @@ func (q *Queue) dispatchAt(t float64) bool {
 		return false
 	}
 	p := cands[pick]
-	res, err := q.inner.Serve(t, p.Req)
-	if err != nil {
+	c := q.slot(p.Seq)
+	if err := device.ServeInto(q.inner, t, p.Req, &c.Res); err != nil {
 		// The sticky typed error identifies the failing request: a
 		// dispatch that dies mid-Drain reaches the caller attributed,
 		// not dropped.
+		q.completed = q.completed[:len(q.completed)-1]
 		q.err = &device.Error{Op: "sched dispatch", Req: p.Req, Err: err}
 		return false
 	}
@@ -372,14 +384,13 @@ func (q *Queue) dispatchAt(t float64) bool {
 	arrived := sort.Search(len(q.pending), func(i int) bool { return q.pending[i].Issue > t })
 	q.stats.PendingAtDispatchSum += int64(arrived)
 	q.pending = append(q.pending[:idxs[pick]], q.pending[idxs[pick]+1:]...)
-	res.Issue = p.Issue
+	c.Res.Issue = p.Issue
 	// The next decision happens when the head frees (MediaEnd), not at
 	// full completion: the following dispatch's positioning overlaps
 	// this one's bus drain, exactly as the paper's tworeq pattern does.
-	q.freeAt = res.MediaEnd
+	q.freeAt = c.Res.MediaEnd
 	q.headLBN = p.Req.LBN + int64(p.Req.Sectors)
-	q.note(res)
-	q.completed = append(q.completed, Completion{Seq: p.Seq, Res: res})
+	q.note(&c.Res)
 	return true
 }
 

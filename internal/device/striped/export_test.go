@@ -22,6 +22,7 @@ func (a *Array) RAID0CloneForTest(children []device.Device) (*Array, error) {
 	return &Array{
 		children:   children,
 		bounds:     a.bounds,
+		index:      a.index,
 		childLBN:   a.childLBN,
 		childOf:    a.childOf,
 		uniform:    a.uniform,

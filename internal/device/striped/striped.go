@@ -3,11 +3,12 @@ package striped
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"traxtents/internal/device"
 	"traxtents/internal/device/event"
 	"traxtents/internal/device/sched"
+	"traxtents/internal/traxtent"
 )
 
 // config collects constructor options.
@@ -68,6 +69,7 @@ type Array struct {
 	// entry is the capacity. Unit j lives on child childOf[j], starting
 	// at child LBN childLBN[j] (childOf[j] = j mod N without parity).
 	bounds     []int64
+	index      traxtent.Index // unitOf's lookup over bounds (uniform == 0)
 	childLBN   []int64
 	childOf    []int
 	uniform    int64 // stripe unit when all are equal (fixed chunks), else 0
@@ -88,12 +90,11 @@ type Array struct {
 
 	// Per-Serve scratch, derived once at construction and reused on
 	// every request so the steady-state Serve path is allocation-free.
-	// lastUnit memoizes the most recent unitOf hit: real workloads are
-	// sequential or stripe-aligned, so the next request usually lands in
-	// the same or the following unit.
+	// childRes receives each child operation's result in place; it is
+	// folded into the array's result before the next operation.
 	spanBuf  []span // reused per-child span list
 	spanOf   []int  // child index -> span index in spanBuf this Serve, -1 if none
-	lastUnit int
+	childRes device.Result
 
 	// Submit/DrainEach state: joins holds array requests whose per-child
 	// spans are in flight on queued children, and routes maps each
@@ -127,6 +128,7 @@ type join struct {
 
 var (
 	_ device.Batch            = (*Array)(nil)
+	_ device.InPlace          = (*Array)(nil)
 	_ device.Rotational       = (*Array)(nil)
 	_ device.BoundaryProvider = (*Array)(nil)
 	_ device.Named            = (*Array)(nil)
@@ -265,6 +267,13 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 		}
 	}
 
+	if a.uniform == 0 {
+		index, err := traxtent.NewIndex(a.bounds)
+		if err != nil {
+			return nil, fmt.Errorf("striped: stripe units: %w", err)
+		}
+		a.index = index
+	}
 	a.spanBuf = make([]span, 0, n)
 	a.spanOf = make([]int, n)
 	a.routes = make([]map[int]int, n)
@@ -345,29 +354,14 @@ func (a *Array) TrackBoundaries() []int64 {
 	return out
 }
 
-// unitOf returns the stripe unit holding the array LBN.
-//
-// Fixed chunks resolve with one division; traxtent-matched units check
-// the memoized last hit and its successor (covering sequential and
-// stripe-aligned streams) before falling back to a binary search over
-// the boundary table.
+// unitOf returns the stripe unit holding the array LBN: one division
+// for fixed chunks, one bucket lookup in the boundary index for
+// traxtent-matched units.
 func (a *Array) unitOf(lbn int64) int {
 	if a.uniform > 0 {
 		return int(lbn / a.uniform)
 	}
-	if j := a.lastUnit; a.bounds[j] <= lbn {
-		if lbn < a.bounds[j+1] {
-			return j
-		}
-		if j+2 < len(a.bounds) && lbn < a.bounds[j+2] {
-			a.lastUnit = j + 1
-			return j + 1
-		}
-	}
-	// First boundary strictly greater than lbn, minus one.
-	j := sort.Search(len(a.bounds), func(i int) bool { return a.bounds[i] > lbn }) - 1
-	a.lastUnit = j
-	return j
+	return a.index.Find(lbn)
 }
 
 // span is one contiguous piece of a request on one child.
@@ -416,7 +410,7 @@ func (a *Array) split(req device.Request) []span {
 // the array starts when the first child starts and completes when the
 // last child completes; bus occupancy and prefetch sum; the aggregate
 // is a cache hit only if every span was.
-func accumulate(dst *device.Result, started *bool, r device.Result) {
+func accumulate(dst *device.Result, started *bool, r *device.Result) {
 	if !*started || r.Start < dst.Start {
 		dst.Start = r.Start
 	}
@@ -441,27 +435,36 @@ func accumulate(dst *device.Result, started *bool, r device.Result) {
 // Submit batch (DrainEach first) — except on parity arrays, whose
 // submissions are themselves synchronous.
 func (a *Array) Serve(at float64, req device.Request) (device.Result, error) {
-	if err := device.CheckRequest(a, req); err != nil {
+	var res device.Result
+	if err := a.ServeInto(at, req, &res); err != nil {
 		return device.Result{}, err
 	}
+	return res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace);
+// each child serves in place into the array's scratch result.
+func (a *Array) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.CheckRequest(a, req); err != nil {
+		return err
+	}
 	if !a.parity && len(a.joins) > 0 {
-		return device.Result{}, fmt.Errorf("striped: %d submitted requests outstanding; drain before Serve", len(a.joins))
+		return fmt.Errorf("striped: %d submitted requests outstanding; drain before Serve", len(a.joins))
 	}
 	// Enforce the issue-order contract up front: a regressive time
 	// rejected by one child mid-fan-out would leave the children's
 	// clocks inconsistently advanced.
 	if at < a.lastIssue {
-		return device.Result{}, fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
+		return fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
 	}
 	a.lastIssue = at
-	res, err := a.serve(at, req)
-	if err != nil {
-		return device.Result{}, err
+	if err := a.serve(at, req, res); err != nil {
+		return err
 	}
 	if res.Done > a.lastDone {
 		a.lastDone = res.Done
 	}
-	return res, nil
+	return nil
 }
 
 // maxRetries bounds in-place retries of transient child timeouts on
@@ -471,15 +474,18 @@ const maxRetries = 3
 // childOp issues one sub-request to one child, retrying transient
 // timeouts on parity arrays and wrapping any failure in the typed
 // device.Error record with the failing child and request identified.
-func (a *Array) childOp(at float64, c int, sub device.Request) (device.Result, error) {
+// The result is the array's scratch record, valid until the next
+// childOp.
+func (a *Array) childOp(at float64, c int, sub device.Request) (*device.Result, error) {
+	r := &a.childRes
 	for attempt := 0; ; attempt++ {
-		r, err := a.children[c].Serve(at, sub)
+		err := device.ServeInto(a.children[c], at, sub, r)
 		if err == nil {
 			if _, ok := a.children[c].(*sched.Queue); ok && a.fleet != nil {
 				// The barrier ran the queue's clock forward; any event
 				// scheduled at its old decision instant is stale now.
 				if terr := a.fleet.Touch(c); terr != nil {
-					return device.Result{}, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: terr}
+					return nil, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: terr}
 				}
 			}
 			return r, nil
@@ -488,19 +494,19 @@ func (a *Array) childOp(at float64, c int, sub device.Request) (device.Result, e
 			a.dstats.Retries++
 			continue
 		}
-		return device.Result{}, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: err}
+		return nil, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: err}
 	}
 }
 
-// serve routes one validated request: parity writes and degraded
-// parity arrays walk stripe units one by one; everything else fans out
-// merged per-child spans — so a healthy parity array reads exactly
-// like RAID-0 over the same data layout.
-func (a *Array) serve(at float64, req device.Request) (device.Result, error) {
+// serve routes one validated request into *res: parity writes and
+// degraded parity arrays walk stripe units one by one; everything else
+// fans out merged per-child spans — so a healthy parity array reads
+// exactly like RAID-0 over the same data layout.
+func (a *Array) serve(at float64, req device.Request, res *device.Result) error {
 	if a.parity && (req.Write || a.lost >= 0) {
-		return a.serveParity(at, req)
+		return a.serveParity(at, req, res)
 	}
-	res := device.Result{Req: req, Issue: at, CacheHit: true}
+	*res = device.Result{Req: req, Issue: at, CacheHit: true}
 	started := false
 	for _, s := range a.split(req) {
 		sub := device.Request{LBN: s.lbn, Sectors: s.sectors, Write: req.Write, FUA: req.FUA}
@@ -512,13 +518,13 @@ func (a *Array) serve(at float64, req device.Request) (device.Result, error) {
 				// what the failed child cannot serve. Spans already
 				// served stand — the retry is a fresh pass over the same
 				// addresses.
-				return a.serveParity(at, req)
+				return a.serveParity(at, req, res)
 			}
-			return device.Result{}, err
+			return err
 		}
-		accumulate(&res, &started, r)
+		accumulate(res, &started, r)
 	}
-	return res, nil
+	return nil
 }
 
 // absorb classifies a child failure a healthy parity array survives in
@@ -538,9 +544,10 @@ func (a *Array) absorb(err error, c int) bool {
 
 // serveParity is the per-unit path: parity writes (read-modify-write),
 // degraded reads (peer reconstruction), and medium-error repair all
-// work on whole stripe units, so the walk never merges spans.
-func (a *Array) serveParity(at float64, req device.Request) (device.Result, error) {
-	res := device.Result{Req: req, Issue: at, CacheHit: true}
+// work on whole stripe units, so the walk never merges spans. It
+// starts *res afresh.
+func (a *Array) serveParity(at float64, req device.Request, res *device.Result) error {
+	*res = device.Result{Req: req, Issue: at, CacheHit: true}
 	started := false
 	lbn := req.LBN
 	left := int64(req.Sectors)
@@ -551,14 +558,14 @@ func (a *Array) serveParity(at float64, req device.Request) (device.Result, erro
 			n = left
 		}
 		o := lbn - a.bounds[j]
-		if err := a.serveUnit(at, j, o, n, req, &res, &started); err != nil {
-			return device.Result{}, err
+		if err := a.serveUnit(at, j, o, n, req, res, &started); err != nil {
+			return err
 		}
 		lbn += n
 		left -= n
 		j++
 	}
-	return res, nil
+	return nil
 }
 
 // serveUnit services the [o, o+n) window of logical unit j.
@@ -750,14 +757,18 @@ func (a *Array) Submit(at float64, req device.Request) (int, error) {
 		// Parity updates are read-modify-write: the phase-2 writes
 		// depend on the phase-1 reads, which lazy per-child scheduling
 		// cannot order. Parity arrays therefore serve each submission
-		// synchronously; DrainEach still reports results in submission
-		// order, so batch drivers work unchanged.
-		res, err := a.serve(at, req)
-		if err != nil {
+		// synchronously, straight into the join; DrainEach still
+		// reports results in submission order, so batch drivers work
+		// unchanged.
+		n := len(a.joins)
+		a.joins = slices.Grow(a.joins, 1)[:n+1]
+		j := &a.joins[n]
+		j.seq, j.remaining, j.started, j.failed = seq, 0, true, false
+		if err := a.serve(at, req, &j.res); err != nil {
+			a.joins = a.joins[:n]
 			return 0, err
 		}
-		a.lastDone = max(a.lastDone, res.Done)
-		a.joins = append(a.joins, join{res: res, seq: seq, started: true})
+		a.lastDone = max(a.lastDone, j.res.Done)
 	} else if err := a.submitSpans(at, req, seq); err != nil {
 		return 0, err
 	}
@@ -839,7 +850,7 @@ func (a *Array) DrainEach(fn func(seq int, r *device.Result)) error {
 			}
 			delete(cr, seq)
 			j := &a.joins[ji]
-			accumulate(&j.res, &j.started, *r)
+			accumulate(&j.res, &j.started, r)
 			j.remaining--
 		}); err != nil {
 			return fmt.Errorf("striped: child %d: %w", c, err)

@@ -273,7 +273,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSplitMatchesReference: the scratch-buffer split (memoized unitOf,
+// TestSplitMatchesReference: the scratch-buffer split (indexed unitOf,
 // reused span buffers) must carve every request into exactly the spans
 // the original per-call-allocating implementation produced — same
 // children, same child LBNs, same lengths — across unit-interior,

@@ -191,7 +191,7 @@ func (z *Device) serveRead(at float64, req device.Request) (device.Result, error
 			out.BusTime += pr.BusTime
 			out.Prefetched += pr.Prefetched
 			out.CacheHit = out.CacheHit && pr.CacheHit
-			out.Timing = mech.Timing{}
+			out.Timing = mech.Breakdown{}
 		}
 		lbn = hi
 	}

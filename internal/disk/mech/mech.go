@@ -90,23 +90,33 @@ type AvailChunk struct {
 	Per     float64 // ms per subsequent sector (0 = all at once)
 }
 
-// Timing is the media-phase breakdown of one request.
-type Timing struct {
+// Breakdown splits the time the mechanism spends on one request into
+// its phases. It is the part of a Timing that outlives the request:
+// device results carry it, while the rest of Timing is the simulator's
+// own bookkeeping.
+type Breakdown struct {
 	Seek      float64 // initial arm movement
 	Settle    float64 // write settles (initial + per switch)
 	Latency   float64 // rotational waiting (including in-track gaps)
 	Transfer  float64 // sectors * slot time, the useful media transfer
 	Switch    float64 // head/track switch time between spanned tracks
 	Excursion float64 // side trips to remapped (grown-defect) sectors
+}
+
+// HeadTime is the total time the mechanism is dedicated to the request.
+func (b *Breakdown) HeadTime() float64 {
+	return b.Seek + b.Settle + b.Latency + b.Transfer + b.Switch + b.Excursion
+}
+
+// Timing is the media phase of one request: its phase breakdown plus
+// what the simulator needs to finish the request — when read data
+// becomes available to the bus, and where and when the head ends up.
+type Timing struct {
+	Breakdown
 
 	Chunks  []AvailChunk // read-data availability (nil for writes)
 	EndPos  Pos          // head position after the media phase
 	EndTime float64      // absolute ms when the media phase completes
-}
-
-// HeadTime is the total time the mechanism is dedicated to the request.
-func (t *Timing) HeadTime() float64 {
-	return t.Seek + t.Settle + t.Latency + t.Transfer + t.Switch + t.Excursion
 }
 
 // angleSlots returns the rotational position at absolute time t expressed

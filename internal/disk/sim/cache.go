@@ -99,7 +99,7 @@ type streamCursor struct {
 // It returns the number of sectors that were already in the buffer and
 // whether the continuation path was taken. The media-phase record,
 // including the availability chunks the bus model consumes, is built in
-// the pooled d.scratch; res.Timing receives the value fields only.
+// the pooled d.scratch; res.Timing receives its phase breakdown only.
 func (d *Disk) tryStream(start float64, req Request, res *Result) (int, bool) {
 	cur := d.cursor
 	if !d.Cfg.ReadAhead || !cur.valid || req.LBN != cur.lbn {
@@ -156,8 +156,7 @@ func (d *Disk) tryStream(start float64, req Request, res *Result) (int, bool) {
 		d.headPos.Cyl, d.headPos.Head = cyl, head
 		tm.EndPos = d.headPos
 	}
-	res.Timing = *tm
-	res.Timing.Chunks = nil
+	res.Timing = tm.Breakdown
 	d.headFree = mediaEnd
 	return pre, true
 }

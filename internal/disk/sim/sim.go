@@ -78,15 +78,10 @@ type Disk struct {
 
 	// scratch is the pooled per-request media-phase record: AccessInto
 	// reuses its chunk buffer, so steady-state Serve performs no heap
-	// allocation. Results returned to callers carry a copy of the value
-	// fields only (Result.Timing.Chunks is nil); the chunks are consumed
-	// internally by the bus model before the next request overwrites
-	// them.
+	// allocation. Results carry only its phase breakdown; the chunks,
+	// end position and end time are consumed internally by the bus and
+	// head models before the next request overwrites them.
 	scratch mech.Timing
-
-	// drainLoop switches finishRead to the per-sector reference bus
-	// drain; the differential tests use it to verify the closed form.
-	drainLoop bool
 
 	stats Stats
 }
@@ -116,6 +111,7 @@ func (d *Disk) HeadPos() mech.Pos { return d.headPos }
 // Disk implements device.Device and all of its optional capabilities.
 var (
 	_ device.Device           = (*Disk)(nil)
+	_ device.InPlace          = (*Disk)(nil)
 	_ device.Rotational       = (*Disk)(nil)
 	_ device.BoundaryProvider = (*Disk)(nil)
 	_ device.Mapped           = (*Disk)(nil)
@@ -156,12 +152,21 @@ func (d *Disk) sectorBusTime() float64 {
 // be submitted in non-decreasing issue order; the disk queues them FCFS.
 // The returned Result contains the complete timing breakdown.
 func (d *Disk) SubmitAt(issue float64, req Request) (Result, error) {
+	var res Result
+	if err := d.ServeInto(issue, req, &res); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// ServeInto is SubmitAt writing the result into *res (device.InPlace).
+func (d *Disk) ServeInto(issue float64, req Request, res *Result) error {
 	// The shared overflow-safe gate: accepting exactly what CheckRequest
 	// accepts is a conformance invariant (devtest.Fuzz checks agreement).
 	if err := device.CheckRequest(d, req); err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
+		return fmt.Errorf("sim: %w", err)
 	}
-	res := Result{Req: req, Issue: issue}
+	*res = Result{Req: req, Issue: issue}
 	d.stats.Requests++
 	if req.Write {
 		d.stats.SectorsIn += int64(req.Sectors)
@@ -170,9 +175,9 @@ func (d *Disk) SubmitAt(issue float64, req Request) (Result, error) {
 	}
 
 	if req.Write {
-		d.serviceWrite(issue, req, &res)
+		d.serviceWrite(issue, req, res)
 	} else {
-		d.serviceRead(issue, req, &res)
+		d.serviceRead(issue, req, res)
 	}
 	if d.Cfg.HostNoiseSD > 0 {
 		// Host-observed jitter only; internal resource state (headFree,
@@ -186,7 +191,7 @@ func (d *Disk) SubmitAt(issue float64, req Request) (Result, error) {
 	if res.Done > d.lastDone {
 		d.lastDone = res.Done
 	}
-	return res, nil
+	return nil
 }
 
 // Submit issues the request as soon as the previous completion is known
@@ -229,8 +234,7 @@ func (d *Disk) serviceRead(issue float64, req Request, res *Result) {
 		panic(fmt.Sprintf("sim: access failed after validation: %v", err))
 	}
 	tm := &d.scratch
-	res.Timing = *tm
-	res.Timing.Chunks = nil // the pooled chunk buffer stays internal
+	res.Timing = tm.Breakdown
 	res.MediaEnd = tm.EndTime
 	d.headPos = tm.EndPos
 	d.headFree = tm.EndTime
@@ -259,12 +263,7 @@ func (d *Disk) finishRead(req Request, res *Result) {
 		d.stats.BusBusy += xfer
 	default:
 		// In-LBN-order delivery constrained by chunk availability.
-		var done, busy float64
-		if d.drainLoop {
-			done, busy = drainChunksLoop(d.scratch.Chunks, d.busFree, sb)
-		} else {
-			done, busy = drainChunks(d.scratch.Chunks, d.busFree, sb)
-		}
+		done, busy := drainChunks(d.scratch.Chunks, d.busFree, sb)
 		if done < res.MediaEnd { // e.g. prefetch-served requests
 			done = res.MediaEnd
 		}
@@ -315,8 +314,7 @@ func (d *Disk) serviceWrite(issue float64, req Request, res *Result) {
 			panic(fmt.Sprintf("sim: gated access failed: %v", err))
 		}
 	}
-	res.Timing = *tm
-	res.Timing.Chunks = nil
+	res.Timing = tm.Breakdown
 	res.MediaEnd = tm.EndTime
 	res.Done = tm.EndTime
 	d.headPos = tm.EndPos
@@ -381,31 +379,6 @@ func drainChunks(chunks []mech.AvailChunk, busFree, sb float64) (done, busy floa
 			ct = v
 		}
 		t = ct
-	}
-	if first {
-		return busFree, 0
-	}
-	return t, t - busStart
-}
-
-// drainChunksLoop is the original per-sector reference drain, retained
-// for the differential tests that pin the closed form to it.
-func drainChunksLoop(chunks []mech.AvailChunk, busFree, sb float64) (done, busy float64) {
-	t := busFree
-	first := true
-	var busStart float64
-	for _, c := range chunks {
-		for j := 0; j < c.Sectors; j++ {
-			avail := c.At + float64(j)*c.Per
-			if avail > t {
-				t = avail
-			}
-			if first {
-				busStart = t
-				first = false
-			}
-			t += sb
-		}
 	}
 	if first {
 		return busFree, 0

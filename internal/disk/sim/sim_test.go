@@ -422,60 +422,98 @@ func TestDrainChunksEmpty(t *testing.T) {
 	}
 }
 
-// TestServeDifferentialClosedVsLoopDrain runs full mixed workloads
-// through two identical disks, one using the closed-form drain and one
-// the per-sector reference, and requires service and response times to
-// agree within a nanosecond of virtual time per request.
-//
-// The schedule is fixed (pairs of queued requests at arithmetic issue
-// times, idle gaps between pairs) rather than completion-driven: both
-// disks then see bit-identical media phases every round, so each
-// request's comparison isolates exactly the drain difference. A
-// free-running schedule would feed the drains' sub-ulp rounding
-// differences back into issue times, where a rotational slot boundary
-// can amplify them into a full slot-time divergence — a knife edge of
-// the spindle model, not a drain bug. The second request of each pair
-// lands while the first's bus transfer is still draining, covering the
-// busFree > availability regime.
-func TestServeDifferentialClosedVsLoopDrain(t *testing.T) {
-	cfg := Config{BusMBps: 40, CmdOverhead: 0.1, CacheSegments: 4, CacheSegSectors: 400, ReadAhead: true}
-	for _, zl := range []bool{false, true} {
-		a := testDisk(t, cfg, zl)
-		b := testDisk(t, cfg, zl)
-		b.drainLoop = true
-		rng := rand.New(rand.NewSource(31))
-		check := func(i int, issue float64, req Request) {
-			ra, err := a.SubmitAt(issue, req)
-			if err != nil {
-				t.Fatalf("closed: %v", err)
+// drainChunksLoop is the per-sector reference bus drain the closed
+// form in drainChunks replaced: each sector waits for its availability
+// and for the bus, one at a time.
+func drainChunksLoop(chunks []mech.AvailChunk, busFree, sb float64) (done, busy float64) {
+	t := busFree
+	first := true
+	var busStart float64
+	for _, c := range chunks {
+		for j := 0; j < c.Sectors; j++ {
+			avail := c.At + float64(j)*c.Per
+			if avail > t {
+				t = avail
 			}
-			rb, err := b.SubmitAt(issue, req)
-			if err != nil {
-				t.Fatalf("loop: %v", err)
+			if first {
+				busStart = t
+				first = false
 			}
-			const tol = 1e-6
-			if math.Abs(ra.Done-rb.Done) > tol || math.Abs(ra.Response()-rb.Response()) > tol ||
-				math.Abs(ra.Start-rb.Start) > tol || math.Abs(ra.MediaEnd-rb.MediaEnd) > tol ||
-				math.Abs(ra.BusTime-rb.BusTime) > tol {
-				t.Fatalf("zl=%v req %d %+v: closed %+v vs loop %+v", zl, i, req, ra, rb)
-			}
-		}
-		for i := 0; i < 1000; i++ {
-			issue := float64(i) * 120 // past every earlier completion: both disks start idle
-			n := 1 + rng.Intn(200)
-			first := Request{
-				LBN:     rng.Int63n(a.Lay.NumLBNs() - int64(n)),
-				Sectors: n,
-				Write:   rng.Intn(5) == 0,
-				FUA:     rng.Intn(10) == 0,
-			}
-			check(2*i, issue, first)
-			// A queued read behind the first request: its drain starts
-			// while the bus is still busy with the first one's data.
-			n = 1 + rng.Intn(200)
-			check(2*i+1, issue, Request{LBN: rng.Int63n(a.Lay.NumLBNs() - int64(n)), Sectors: n})
+			t += sb
 		}
 	}
+	if first {
+		return busFree, 0
+	}
+	return t, t - busStart
+}
+
+// TestServeDifferentialClosedVsLoopDrain runs full mixed workloads
+// through a disk and, after every read that drained over the bus,
+// re-drains that request's availability chunks with the per-sector
+// reference loop from the bus-free time before the request. Completion
+// and bus occupancy must agree within a nanosecond of virtual time.
+//
+// The schedule is fixed (pairs of queued requests at arithmetic issue
+// times, idle gaps between pairs) rather than completion-driven, as
+// the workloads of the figures are. The second request of each pair
+// queues behind the first. At 40 MB/s the bus outruns the media and
+// every drain is paced by availability; at 2 MB/s it is slower than
+// the media, so drains also start while the bus is still busy with
+// earlier data (the busFree > availability regime).
+func TestServeDifferentialClosedVsLoopDrain(t *testing.T) {
+	queued := 0
+	for _, bus := range []float64{40, 2} {
+		cfg := Config{BusMBps: bus, CmdOverhead: 0.1, CacheSegments: 4, CacheSegSectors: 400, ReadAhead: true}
+		for _, zl := range []bool{false, true} {
+			d := testDisk(t, cfg, zl)
+			sb := d.sectorBusTime()
+			rng := rand.New(rand.NewSource(31))
+			drained := 0
+			check := func(i int, issue float64, req Request) {
+				busFree := d.busFree
+				res, err := d.SubmitAt(issue, req)
+				if err != nil {
+					t.Fatalf("SubmitAt: %v", err)
+				}
+				if req.Write || res.CacheHit {
+					return // no availability-paced drain
+				}
+				chunks := d.scratch.Chunks
+				wd, wb := drainChunksLoop(chunks, busFree, sb)
+				wd = max(wd, res.MediaEnd)
+				const tol = 1e-6
+				if math.Abs(res.Done-wd) > tol || math.Abs(res.BusTime-wb) > tol {
+					t.Fatalf("bus=%g zl=%v req %d %+v busFree=%g chunks=%+v: closed (%g,%g) vs loop (%g,%g)",
+						bus, zl, i, req, busFree, chunks, res.Done, res.BusTime, wd, wb)
+				}
+				drained++
+				if len(chunks) > 0 && busFree > chunks[0].At {
+					queued++
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				issue := float64(i) * 120 // past every earlier completion: the disk starts idle
+				n := 1 + rng.Intn(200)
+				first := Request{
+					LBN:     rng.Int63n(d.Lay.NumLBNs() - int64(n)),
+					Sectors: n,
+					Write:   rng.Intn(5) == 0,
+					FUA:     rng.Intn(10) == 0,
+				}
+				check(2*i, issue, first)
+				n = 1 + rng.Intn(200)
+				check(2*i+1, issue, Request{LBN: rng.Int63n(d.Lay.NumLBNs() - int64(n)), Sectors: n})
+			}
+			if drained < 1000 {
+				t.Fatalf("bus=%g zl=%v: %d drains checked, want >= 1000", bus, zl, drained)
+			}
+		}
+	}
+	if queued == 0 {
+		t.Fatalf("no drain started behind a busy bus")
+	}
+	t.Logf("%d drains started behind a busy bus", queued)
 }
 
 // TestServePoolingBitIdentical: the pooled-scratch Serve must be

@@ -877,7 +877,7 @@ func accumulate(dst *device.Result, started *bool, r *device.Result) {
 		*started = true
 		return
 	}
-	dst.Timing = mech.Timing{}
+	dst.Timing = mech.Breakdown{}
 	if r.Start < dst.Start {
 		dst.Start = r.Start
 	}
