@@ -47,10 +47,9 @@ func pinQueue(t *testing.T, depth int, s sched.Scheduler) device.Device {
 // pinDigest serves n seeded requests through c and hashes every Result
 // (devtest.WriteResult's field list) followed by the final Stats.
 // Floats print in their shortest exact form, so any one-ulp move
-// changes the digest. Nine in ten requests
-// land in a hot region twice the cache budget, so the stream
-// hits, misses, fills, evicts, and (write-back) flushes dirty victims;
-// one in sixteen is FUA.
+// changes the digest. Nine in ten requests land in a hot region twice
+// the cache budget, so the stream hits, misses, fills, evicts, and
+// (write-back) flushes dirty victims; one in sixteen is FUA.
 func pinDigest(t *testing.T, c *cache.Cache, n int, seed int64) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
