@@ -5,11 +5,12 @@ package stats
 // markers track the minimum, the target quantile, the maximum, and the
 // two midpoints, adjusting their heights with parabolic interpolation
 // as observations stream in. Memory is O(1) and Add never allocates,
-// so per-tenant p99/p99.99 response accounting can run inline on the
-// request path without storing samples — the same estimator the
-// streaming trace-replay statistics (ROADMAP item 5) will use.
+// so p99/p99.99 response accounting needs no stored samples. The
+// volume manager and the bulk replay driver apply their estimators in
+// batches through a Feed, off the request path.
 //
-// The zero value is not usable; construct with NewQuantile. Results are
+// The zero value is not usable; construct with NewQuantile (or
+// NewTails for a p50/p99/p99.99 set). Results are
 // deterministic: the estimate is a pure function of the observation
 // sequence.
 type Quantile struct {
@@ -30,9 +31,14 @@ func NewQuantile(p float64) *Quantile {
 	if p >= 1 {
 		p = 1 - 1e-9
 	}
-	q := &Quantile{p: p}
-	q.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return q
+	q := makeQuantile(p)
+	return &q
+}
+
+// makeQuantile builds an estimator by value, for owners that embed
+// their estimators (Tails); p is already in range.
+func makeQuantile(p float64) Quantile {
+	return Quantile{p: p, inc: [5]float64{0, p / 2, p, (1 + p) / 2, 1}}
 }
 
 // P returns the target quantile.
@@ -73,32 +79,46 @@ func (q *Quantile) Add(x float64) {
 	}
 	q.n++
 
-	// Find the cell k with q[k] <= x < q[k+1], extending the extremes.
-	var k int
+	// Find the cell k with q[k] <= x < q[k+1], extending the extremes,
+	// and shift every marker above it one position up. The interior
+	// cell is found by nested comparisons in marker order — the first
+	// marker x falls below ends the search — so a marker left one ulp
+	// out of order by the parabola yields the same k as a linear scan,
+	// and NaN lands in cell 0 as it always has.
 	switch {
 	case x < q.q[0]:
 		q.q[0] = x
-		k = 0
+		q.pos[1]++
+		q.pos[2]++
+		q.pos[3]++
 	case x >= q.q[4]:
 		q.q[4] = x
-		k = 3
-	default:
-		k = 0
-		for k < 3 && x >= q.q[k+1] {
-			k++
-		}
+	case !(x >= q.q[1]):
+		q.pos[1]++
+		q.pos[2]++
+		q.pos[3]++
+	case !(x >= q.q[2]):
+		q.pos[2]++
+		q.pos[3]++
+	case !(x >= q.q[3]):
+		q.pos[3]++
 	}
-	for i := k + 1; i < 5; i++ {
-		q.pos[i]++
-	}
-	for i := range q.want {
-		q.want[i] += q.inc[i]
-	}
+	// The maximum marker always moves up; the minimum never moves, and
+	// its desired position stays 1 (inc[0] is 0).
+	q.pos[4]++
+	q.want[1] += q.inc[1]
+	q.want[2] += q.inc[2]
+	q.want[3] += q.inc[3]
+	q.want[4] += q.inc[4]
 
-	// Nudge the interior markers toward their desired positions.
+	// Nudge the interior markers toward their desired positions. nm is
+	// the position of the marker below, already nudged.
+	nm := 1.0
 	for i := 1; i <= 3; i++ {
-		d := q.want[i] - q.pos[i]
-		if !(d >= 1 && q.pos[i+1]-q.pos[i] > 1) && !(d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
+		ni, np := q.pos[i], q.pos[i+1]
+		d := q.want[i] - ni
+		if !(d >= 1 && np-ni > 1) && !(d <= -1 && nm-ni < -1) {
+			nm = ni
 			continue
 		}
 		s := 1.0
@@ -107,7 +127,6 @@ func (q *Quantile) Add(x float64) {
 		}
 		// Parabolic adjustment; fall back to linear when it would push
 		// the marker height out of order.
-		np, nm, ni := q.pos[i+1], q.pos[i-1], q.pos[i]
 		h := q.q[i] + s/(np-nm)*((ni-nm+s)*(q.q[i+1]-q.q[i])/(np-ni)+(np-ni-s)*(q.q[i]-q.q[i-1])/(ni-nm))
 		if h <= q.q[i-1] || h >= q.q[i+1] {
 			if s > 0 {
@@ -117,7 +136,8 @@ func (q *Quantile) Add(x float64) {
 			}
 		}
 		q.q[i] = h
-		q.pos[i] += s
+		q.pos[i] = ni + s
+		nm = q.pos[i]
 	}
 }
 

@@ -20,10 +20,15 @@
 // a sched.Queue over each shard, above whatever per-spindle scheduling
 // the shard itself composes. Per-tenant response tails (p50/p99/
 // p99.99) are accounted online with the stats.Quantile P² estimator,
-// so no samples are stored.
+// so no samples are stored: each completion queues its response time
+// on a stats.Feed, which applies the updates in batches on a helper
+// goroutine, and VolumeStats, Stats and Aggregate sync the feed before
+// they read an estimate.
 //
 // Determinism: the Manager is single-goroutine like the rest of the
-// stack; placement, admission, scheduling, and accounting are pure
+// stack (the feed's helper only ever touches the estimators, in
+// completion order, and is joined before anyone reads them);
+// placement, admission, scheduling, and accounting are pure
 // functions of the construction parameters and the submitted request
 // sequence. A single-tenant Manager with no limits and the default
 // tier (depth-1 FCFS) is a transparent passthrough, pinned

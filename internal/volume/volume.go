@@ -143,14 +143,14 @@ type Volume struct {
 	doneHeap   []float64 // completion times, for the MaxInFlight window
 
 	// Accounting.
-	served          int
-	rejected        int
-	deferred        int
-	sumResp         float64
-	maxResp         float64
-	q50, q99, q9999 *stats.Quantile
-	lastFinish      []float64 // per-shard SFQ finish tag
-	lastDone        float64
+	served     int
+	rejected   int
+	deferred   int
+	sumResp    float64
+	maxResp    float64
+	tails      *stats.Tails // fed through the manager's feed
+	lastFinish []float64    // per-shard SFQ finish tag
+	lastDone   float64
 }
 
 // Name returns the tenant name.
@@ -368,8 +368,9 @@ func WithDeadline(ms float64) VolumeOption { return func(v *Volume) { v.deadline
 // Manager is the multi-tenant volume server: it owns the shards, the
 // per-shard scheduler tiers, the tenant volumes, and the admission and
 // accounting state. Like every layer of the stack it is deterministic
-// and single-goroutine, with issue times non-decreasing across
-// Submit/ServeTenant calls.
+// and single-goroutine to its caller, with issue times non-decreasing
+// across Submit/ServeTenant calls; only the quantile feed's batches
+// are applied on a helper goroutine, joined by every snapshot.
 type Manager struct {
 	shards     []*shard
 	cfg        config
@@ -406,12 +407,15 @@ type Manager struct {
 	foldFn  func(*sched.Completion)
 
 	// Aggregate accounting across tenants; last is the most recently
-	// accounted result (what ServeTenant returns).
-	last            device.Result
-	served          int
-	sumResp         float64
-	maxResp         float64
-	q50, q99, q9999 *stats.Quantile
+	// accounted result (what ServeTenant returns). feed carries every
+	// completion's response time to its tenant's tails and the
+	// aggregate's; the snapshots Sync it before reading them.
+	last    device.Result
+	served  int
+	sumResp float64
+	maxResp float64
+	tails   *stats.Tails
+	feed    *stats.Feed
 }
 
 // New builds a Manager over the given shard devices (striped arrays,
@@ -436,9 +440,8 @@ func New(shards []device.Device, opts ...Option) (*Manager, error) {
 		cfg:        cfg,
 		sectorSize: shards[0].SectorSize(),
 		vols:       make(map[string]*Volume),
-		q50:        stats.NewQuantile(0.50),
-		q99:        stats.NewQuantile(0.99),
-		q9999:      stats.NewQuantile(0.9999),
+		tails:      stats.NewTails(),
+		feed:       stats.NewFeed(),
 	}
 	for i, d := range shards {
 		if d == nil {
@@ -598,9 +601,7 @@ func (m *Manager) AddVolume(name string, sizeSectors int64, opts ...VolumeOption
 		weight:     1,
 		deadline:   m.cfg.deadlineMs,
 		bucketAt:   m.lastIssue,
-		q50:        stats.NewQuantile(0.50),
-		q99:        stats.NewQuantile(0.99),
-		q9999:      stats.NewQuantile(0.9999),
+		tails:      stats.NewTails(),
 		lastFinish: make([]float64, len(m.shards)),
 	}
 	for _, o := range opts {
@@ -901,9 +902,7 @@ func (m *Manager) account(v *Volume, res *device.Result) {
 	if resp > v.maxResp {
 		v.maxResp = resp
 	}
-	v.q50.Add(resp)
-	v.q99.Add(resp)
-	v.q9999.Add(resp)
+	m.feed.Add(v.tails, resp)
 	if res.Done > v.lastDone {
 		v.lastDone = res.Done
 	}
@@ -915,9 +914,7 @@ func (m *Manager) account(v *Volume, res *device.Result) {
 	if resp > m.maxResp {
 		m.maxResp = resp
 	}
-	m.q50.Add(resp)
-	m.q99.Add(resp)
-	m.q9999.Add(resp)
+	m.feed.Add(m.tails, resp)
 	if res.Done > m.lastDone {
 		m.lastDone = res.Done
 	}
@@ -1003,8 +1000,10 @@ type VolumeStats struct {
 	P9999Ms  float64
 }
 
-// snapshot builds the stats record for one volume.
+// snapshot builds the stats record for one volume, syncing the
+// manager's quantile feed first.
 func (v *Volume) snapshot() VolumeStats {
+	v.m.feed.Sync()
 	s := VolumeStats{
 		Tenant:   v.name,
 		Capacity: v.capacity,
@@ -1014,9 +1013,9 @@ func (v *Volume) snapshot() VolumeStats {
 		Deferred: v.deferred,
 		InFlight: v.unresolved,
 		MaxMs:    v.maxResp,
-		P50Ms:    v.q50.Value(),
-		P99Ms:    v.q99.Value(),
-		P9999Ms:  v.q9999.Value(),
+		P50Ms:    v.tails.P50.Value(),
+		P99Ms:    v.tails.P99.Value(),
+		P9999Ms:  v.tails.P9999.Value(),
 	}
 	if v.served > 0 {
 		s.MeanMs = v.sumResp / float64(v.served)
@@ -1046,13 +1045,14 @@ func (m *Manager) Stats() []VolumeStats {
 // aggregate quantiles are streamed over every completion in service
 // order, not an average of the per-tenant estimates.
 func (m *Manager) Aggregate() VolumeStats {
+	m.feed.Sync()
 	s := VolumeStats{
 		Tenant:   "*",
 		Requests: m.served,
 		MaxMs:    m.maxResp,
-		P50Ms:    m.q50.Value(),
-		P99Ms:    m.q99.Value(),
-		P9999Ms:  m.q9999.Value(),
+		P50Ms:    m.tails.P50.Value(),
+		P99Ms:    m.tails.P99.Value(),
+		P9999Ms:  m.tails.P9999.Value(),
 	}
 	for _, v := range m.order {
 		s.Capacity += v.capacity

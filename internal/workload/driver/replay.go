@@ -2,10 +2,12 @@
 // — through the full host stack (cache → sched.Queue → Device) with
 // streaming statistics only. Nothing scales with the trace length at
 // run time: requests are submitted in bounded windows, completions
-// fold through a prebound closure into counters and P² quantile
-// estimators (stats.Quantile), and repeated runs reuse every buffer,
-// so the steady-state replay hot path allocates nothing per request
-// (gated by BENCH_replay.json alongside the ≥1M req/s floor).
+// fold through a prebound closure into counters and queue their
+// response times on a stats.Feed, whose helper goroutine applies the
+// P² quantile updates in batches off the request path (Run joins it
+// before reading the estimates), and repeated runs reuse every
+// buffer, so the steady-state replay hot path allocates nothing per
+// request (gated by BENCH_replay.json alongside the ≥1M req/s floor).
 
 package driver
 
@@ -68,12 +70,13 @@ type Replay struct {
 
 	start float64
 
-	q50, q99, q9999 *stats.Quantile
-	count           int
-	sumResp         float64
-	maxResp         float64
-	maxDone         float64
-	barriers        int
+	tails    *stats.Tails
+	feed     *stats.Feed
+	count    int
+	sumResp  float64
+	maxResp  float64
+	maxDone  float64
+	barriers int
 
 	foldFn func(int, *device.Result)
 	err    error
@@ -106,9 +109,8 @@ func NewReplay(st *stack.Stack, tr trace.Trace, cfg ReplayConfig) (*Replay, erro
 		reqs:   make([]device.Request, len(tr.Records)),
 		offs:   make([]float64, len(tr.Records)),
 		window: window,
-		q50:    stats.NewQuantile(0.50),
-		q99:    stats.NewQuantile(0.99),
-		q9999:  stats.NewQuantile(0.9999),
+		tails:  stats.NewTails(),
+		feed:   stats.NewFeed(),
 		start:  st.Now(),
 	}
 	hasIssue := false
@@ -152,9 +154,7 @@ func (r *Replay) foldOne(_ int, res *device.Result) {
 	if res.Done > r.maxDone {
 		r.maxDone = res.Done
 	}
-	r.q50.Add(resp)
-	r.q99.Add(resp)
-	r.q9999.Add(resp)
+	r.feed.Add(r.tails, resp)
 }
 
 // Run replays the whole trace through the stack and returns the run's
@@ -171,37 +171,16 @@ func (r *Replay) Run() (ReplayMetrics, error) {
 	}
 	r.count, r.sumResp, r.maxResp, r.barriers = 0, 0, 0, 0
 	r.maxDone = start
-	r.q50.Reset()
-	r.q99.Reset()
-	r.q9999.Reset()
+	r.tails.Reset()
 	cs0 := r.st.Stats()
 
-	inWindow := 0
-	for i := range r.reqs {
-		if _, err := r.st.Submit(start+r.offs[i], r.reqs[i]); err != nil {
-			r.err = fmt.Errorf("driver: replay request %d: %w", i, err)
-			return ReplayMetrics{}, r.err
-		}
-		inWindow++
-		if inWindow >= r.window {
-			if err := r.st.DrainEach(r.foldFn); err != nil {
-				r.err = fmt.Errorf("driver: replay drain at request %d: %w", i, err)
-				return ReplayMetrics{}, r.err
-			}
-			r.barriers++
-			inWindow = 0
-		}
-	}
-	if inWindow > 0 {
-		if err := r.st.DrainEach(r.foldFn); err != nil {
-			r.err = fmt.Errorf("driver: replay final drain: %w", err)
-			return ReplayMetrics{}, r.err
-		}
-		r.barriers++
-	}
-	if r.count != len(r.reqs) {
-		r.err = fmt.Errorf("driver: replay resolved %d of %d requests", r.count, len(r.reqs))
-		return ReplayMetrics{}, r.err
+	err := r.replay(start)
+	// Join the quantile feed on every path, failures included: no
+	// helper may still be applying a batch once Run returns.
+	r.feed.Sync()
+	if err != nil {
+		r.err = err
+		return ReplayMetrics{}, err
 	}
 	r.start = r.maxDone
 
@@ -209,9 +188,9 @@ func (r *Replay) Run() (ReplayMetrics, error) {
 		Requests:        r.count,
 		MakespanMs:      r.maxDone - start,
 		MeanResponseMs:  r.sumResp / float64(r.count),
-		P50ResponseMs:   r.q50.Value(),
-		P99ResponseMs:   r.q99.Value(),
-		P9999ResponseMs: r.q9999.Value(),
+		P50ResponseMs:   r.tails.P50.Value(),
+		P99ResponseMs:   r.tails.P99.Value(),
+		P9999ResponseMs: r.tails.P9999.Value(),
 		MaxResponseMs:   r.maxResp,
 		WindowBarriers:  r.barriers,
 	}
@@ -223,4 +202,33 @@ func (r *Replay) Run() (ReplayMetrics, error) {
 		m.CacheHitRate = float64(cs1.Hits-cs0.Hits) / float64(acc)
 	}
 	return m, nil
+}
+
+// replay submits the trace in windows from start and drains every
+// window into foldOne.
+func (r *Replay) replay(start float64) error {
+	inWindow := 0
+	for i := range r.reqs {
+		if _, err := r.st.Submit(start+r.offs[i], r.reqs[i]); err != nil {
+			return fmt.Errorf("driver: replay request %d: %w", i, err)
+		}
+		inWindow++
+		if inWindow >= r.window {
+			if err := r.st.DrainEach(r.foldFn); err != nil {
+				return fmt.Errorf("driver: replay drain at request %d: %w", i, err)
+			}
+			r.barriers++
+			inWindow = 0
+		}
+	}
+	if inWindow > 0 {
+		if err := r.st.DrainEach(r.foldFn); err != nil {
+			return fmt.Errorf("driver: replay final drain: %w", err)
+		}
+		r.barriers++
+	}
+	if r.count != len(r.reqs) {
+		return fmt.Errorf("driver: replay resolved %d of %d requests", r.count, len(r.reqs))
+	}
+	return nil
 }
