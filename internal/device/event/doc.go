@@ -29,11 +29,16 @@
 //     events; AdvanceBefore is strict — the open-world cut matching
 //     sched.Queue.AdvanceTo, for callers that may still submit
 //     arrivals at t.
-//   - Queues: the citizen adapter for sched.Queue fleets. It keeps one
-//     live event per queue (its next dispatch-decision instant),
-//     lazily invalidated by generation tags, so a fleet of a thousand
+//   - Queues: the citizen adapter for sched.Queue fleets whose
+//     decisions must interleave with arrival events on one clock
+//     (driver.Fleet, workload.RebuildUnderLoad). It keeps one live
+//     event per queue (its next dispatch-decision instant), lazily
+//     invalidated by generation tags, so a fleet of a thousand
 //     spindles advances by touching only the queues whose decisions
-//     are actually due.
+//     are actually due. Independent queues fed from outside — a
+//     striped array's children, a volume's shard tiers — need no core:
+//     each queue's own AdvanceTo or Flush, in index order, commits the
+//     same decisions.
 //   - Arena: a typed free-list pool for request/completion records, so
 //     drivers keep zero allocations per request in steady state.
 //

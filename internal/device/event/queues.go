@@ -21,8 +21,11 @@ import (
 // one; stale generations are dropped when popped. The tag packs
 // (generation, queue index), so firing allocates nothing.
 //
-// Queue slots may be nil (non-queued children in a mixed array);
-// Touch on a nil slot is a no-op.
+// The adapter is for owners whose arrivals are themselves events on
+// the core (driver.Fleet, workload.RebuildUnderLoad), so a queue's
+// decisions must interleave with them on one clock. Independent queues
+// fed from outside need no core: each one's AdvanceTo or Flush, in
+// index order, commits the same decisions.
 type Queues struct {
 	core *Core
 	id   HandlerID
@@ -33,12 +36,12 @@ type Queues struct {
 	// onCommit observes each committed decision, by queue index, in
 	// global (time, seq) order. It runs with the queue's completion
 	// buffer already holding the decision's completions (if any); this
-	// is the hook owners use to mark shards dirty or fold results.
+	// is the hook owners use to fold results.
 	onCommit func(i int) error
 }
 
-// NewQueues registers a fleet adapter for qs on core. Slots in qs may
-// be nil. onCommit may be nil.
+// NewQueues registers a fleet adapter for qs on core. onCommit may be
+// nil.
 func NewQueues(core *Core, qs []*sched.Queue, onCommit func(i int) error) *Queues {
 	f := &Queues{
 		core:     core,
@@ -52,23 +55,13 @@ func NewQueues(core *Core, qs []*sched.Queue, onCommit func(i int) error) *Queue
 	return f
 }
 
-// Len returns the number of queue slots (including nil slots).
-func (f *Queues) Len() int { return len(f.qs) }
-
-// Queue returns the queue in slot i (nil for non-queued slots).
-func (f *Queues) Queue(i int) *sched.Queue { return f.qs[i] }
-
 // Touch re-reads queue i's next decision instant and (re)schedules its
 // event if the instant is new. Call it after anything that can move
 // the queue's decision point: a Submit, an out-of-band Serve, a
 // Replace. Touching a slot whose instant is unchanged is a no-op, so
 // the cost of redundant touches is one NextDecision call.
 func (f *Queues) Touch(i int) error {
-	q := f.qs[i]
-	if q == nil {
-		return nil
-	}
-	nd, ok := q.NextDecision()
+	nd, ok := f.qs[i].NextDecision()
 	if !ok {
 		f.live[i] = false
 		return nil
@@ -82,8 +75,8 @@ func (f *Queues) Touch(i int) error {
 	return f.core.Schedule(nd, f.id, int64(f.gen[i])<<32|int64(uint32(i)))
 }
 
-// Update replaces the queue in slot i (e.g. after a striped.Array
-// rebuild swaps in a fresh child) and reschedules its event.
+// Update replaces the queue in slot i (e.g. after a rebuild swaps in a
+// fresh spindle) and reschedules its event.
 func (f *Queues) Update(i int, q *sched.Queue) error {
 	f.qs[i] = q
 	f.live[i] = false
@@ -107,9 +100,6 @@ func (f *Queues) Fire(now float64, tag int64) error {
 	}
 	f.live[i] = false
 	q := f.qs[i]
-	if q == nil {
-		return nil
-	}
 	if err := q.Err(); err != nil {
 		return err
 	}
@@ -133,13 +123,3 @@ func (f *Queues) Fire(now float64, tag int64) error {
 	}
 	return f.Touch(i)
 }
-
-// AdvanceTo fires every decision strictly before t, matching the
-// open-world contract of sched.Queue.AdvanceTo: arrivals at exactly t
-// may still be submitted, and a decision instant equal to t must see
-// them as candidates.
-func (f *Queues) AdvanceTo(t float64) error { return f.core.AdvanceBefore(t) }
-
-// Drain fires every pending decision in the core. Note this drains
-// the whole core, not just this fleet — by design: one clock.
-func (f *Queues) Drain() error { return f.core.Drain() }

@@ -91,9 +91,8 @@ func TestQueuesMatchesLegacyDrain(t *testing.T) {
 		qs[c] = newQueue(t, int64(c+1), sched.WithScheduler(sched.CLOOK()), sched.WithDepth(4))
 	}
 	got := make([][]sched.Completion, nq)
-	var fleet *Queues
-	fleet = NewQueues(core, qs, func(i int) error {
-		fleet.Queue(i).ConsumeCompleted(func(cp *sched.Completion) {
+	fleet := NewQueues(core, qs, func(i int) error {
+		qs[i].ConsumeCompleted(func(cp *sched.Completion) {
 			got[i] = append(got[i], *cp)
 		})
 		return nil
@@ -101,7 +100,7 @@ func TestQueuesMatchesLegacyDrain(t *testing.T) {
 	for i := 0; i < perQ; i++ {
 		for c := 0; c < nq; c++ {
 			at := issues[c][i]
-			if err := fleet.AdvanceTo(at); err != nil {
+			if err := core.AdvanceBefore(at); err != nil {
 				t.Fatalf("advance to %g: %v", at, err)
 			}
 			if _, err := qs[c].Submit(at, reqs[c][i]); err != nil {
@@ -112,7 +111,7 @@ func TestQueuesMatchesLegacyDrain(t *testing.T) {
 			}
 		}
 	}
-	if err := fleet.Drain(); err != nil {
+	if err := core.Drain(); err != nil {
 		t.Fatalf("fleet drain: %v", err)
 	}
 	for c := 0; c < nq; c++ {
@@ -172,7 +171,7 @@ func TestQueuesExactTieDeterminism(t *testing.T) {
 				}
 			}
 		}
-		if err := fleet.Drain(); err != nil {
+		if err := core.Drain(); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
 		if len(commits) != 2*len(reqs) {
@@ -240,7 +239,7 @@ func TestQueuesStaleEventSelfHeal(t *testing.T) {
 	}
 	// The fleet's scheduled events are now all stale; draining the core
 	// must commit nothing extra.
-	if err := fleet.Drain(); err != nil {
+	if err := core.Drain(); err != nil {
 		t.Fatalf("fleet drain: %v", err)
 	}
 	if commits != 0 {
@@ -253,7 +252,7 @@ func TestQueuesStaleEventSelfHeal(t *testing.T) {
 	if err := fleet.Touch(0); err != nil {
 		t.Fatalf("touch after heal: %v", err)
 	}
-	if err := fleet.Drain(); err != nil {
+	if err := core.Drain(); err != nil {
 		t.Fatalf("drain after heal: %v", err)
 	}
 	if commits != 1 {
@@ -261,22 +260,16 @@ func TestQueuesStaleEventSelfHeal(t *testing.T) {
 	}
 }
 
-// TestQueuesNilSlotAndUpdate covers mixed fleets (nil slots are inert)
-// and Update (a replaced queue reschedules cleanly).
-func TestQueuesNilSlotAndUpdate(t *testing.T) {
+// TestQueuesUpdate covers Update: a replaced queue reschedules cleanly
+// and the queue it replaced dispatches nothing more.
+func TestQueuesUpdate(t *testing.T) {
 	core := New()
 	q0 := newQueue(t, 11, sched.WithScheduler(sched.CLOOK()), sched.WithDepth(2))
 	var commits []int
-	fleet := NewQueues(core, []*sched.Queue{q0, nil}, func(i int) error {
+	fleet := NewQueues(core, []*sched.Queue{q0}, func(i int) error {
 		commits = append(commits, i)
 		return nil
 	})
-	if fleet.Len() != 2 || fleet.Queue(1) != nil {
-		t.Fatalf("fleet shape wrong: len=%d q1=%v", fleet.Len(), fleet.Queue(1))
-	}
-	if err := fleet.Touch(1); err != nil {
-		t.Fatalf("touch nil slot: %v", err)
-	}
 	if _, err := q0.Submit(0, device.Request{LBN: 100, Sectors: 8}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -292,10 +285,7 @@ func TestQueuesNilSlotAndUpdate(t *testing.T) {
 	if err := fleet.Update(0, q1); err != nil {
 		t.Fatalf("update: %v", err)
 	}
-	if fleet.Queue(0) != q1 {
-		t.Fatal("Update did not swap the slot")
-	}
-	if err := fleet.Drain(); err != nil {
+	if err := core.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if len(commits) != 1 || commits[0] != 0 {

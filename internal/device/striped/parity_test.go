@@ -7,6 +7,7 @@ import (
 
 	"traxtents/internal/device"
 	"traxtents/internal/device/faults"
+	"traxtents/internal/device/sched"
 	"traxtents/internal/device/striped"
 	"traxtents/internal/device/trace"
 )
@@ -492,6 +493,136 @@ func TestReplaceRestoresHealth(t *testing.T) {
 	}
 	if _, err := a.Serve(a.Now(), device.Request{LBN: 0, Sectors: 32}); err != nil {
 		t.Fatalf("Serve after Replace: %v", err)
+	}
+}
+
+// resized overrides a device's reported geometry, for Replace's
+// validation.
+type resized struct {
+	device.Device
+	capacity   int64
+	sectorSize int
+}
+
+func (r resized) Capacity() int64 { return r.capacity }
+func (r resized) SectorSize() int { return r.sectorSize }
+
+// TestReplaceValidation: Replace refuses a replacement that cannot
+// stand in for the lost child, and a refusal leaves the array degraded.
+func TestReplaceValidation(t *testing.T) {
+	devs, _ := disks(t, 2)
+	plain, err := striped.New(devs)
+	if err != nil {
+		t.Fatalf("striped.New: %v", err)
+	}
+	if err := plain.Replace(0, plain.Children()[0]); err == nil {
+		t.Fatal("Replace on a non-parity array accepted")
+	}
+	a, recs := parityArray(t, 3)
+	if err := a.Lose(1); err != nil {
+		t.Fatalf("Lose: %v", err)
+	}
+	size, ss := recs[1].Capacity(), recs[1].SectorSize()
+	for name, d := range map[string]device.Device{
+		"nil":         nil,
+		"sector size": resized{recs[1], size, 2 * ss},
+		"capacity":    resized{recs[1], 1, ss},
+	} {
+		if err := a.Replace(1, d); err == nil {
+			t.Fatalf("Replace with a bad replacement (%s) accepted", name)
+		}
+		if a.LostChild() != 1 {
+			t.Fatalf("refused Replace (%s) left lost child %d", name, a.LostChild())
+		}
+	}
+}
+
+// TestReplaceQueuedChild: on a parity array of queued children, a
+// fresh *sched.Queue installed by Replace serves the lost child's units
+// on the Submit/DrainEach path, and the queue it replaced dispatches
+// nothing more.
+func TestReplaceQueuedChild(t *testing.T) {
+	qopts := []sched.Option{sched.WithDepth(4), sched.WithScheduler(sched.CLOOK())}
+	a, recs := parityArray(t, 3, striped.WithQueuedChildren(qopts...))
+	const lost = 2
+	old, ok := a.Children()[lost].(*sched.Queue)
+	if !ok {
+		t.Fatalf("child %d is %T, want *sched.Queue", lost, a.Children()[lost])
+	}
+	// Healthy traffic first, so the old queue has dispatch history.
+	for i := 0; i < 8; i++ {
+		if _, err := a.Submit(0, device.Request{LBN: int64(i) * 300, Sectors: 64}); err != nil {
+			t.Fatalf("healthy Submit %d: %v", i, err)
+		}
+	}
+	if got, err := drainAll(a); err != nil || len(got) != 8 {
+		t.Fatalf("healthy DrainEach: %d results, err %v", len(got), err)
+	}
+	if old.Stats().Dispatched == 0 {
+		t.Fatal("old queue dispatched nothing while healthy")
+	}
+
+	if err := a.Lose(lost); err != nil {
+		t.Fatalf("Lose: %v", err)
+	}
+	// The lost child's data units: reading one after Replace is a
+	// healthy single-child read, landing on the spare at SpareLBN.
+	want := map[int64]int{}
+	var reqs []device.Request
+	for _, u := range a.RebuildUnits() {
+		if a.ParityChildForTest(u.Stripe) == lost {
+			continue
+		}
+		want[u.SpareLBN] = int(u.SpareSectors)
+		reqs = append(reqs, device.Request{LBN: u.LBN, Sectors: int(u.Sectors)})
+		if len(reqs) == 24 {
+			break
+		}
+	}
+	spareDisks, _ := disks(t, 3)
+	spareRec := trace.NewRecorder(spareDisks[lost])
+	spare, err := sched.New(spareRec, qopts...)
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	if err := a.Replace(lost, spare); err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	oldDispatched := old.Stats().Dispatched
+	base := baselines(recs)
+
+	at := a.Now()
+	for i, req := range reqs {
+		if _, err := a.Submit(at, req); err != nil {
+			t.Fatalf("Submit %d after Replace: %v", i, err)
+		}
+	}
+	got, err := drainAll(a)
+	if err != nil {
+		t.Fatalf("DrainEach after Replace: %v", err)
+	}
+	if len(got) != len(reqs) {
+		t.Fatalf("DrainEach returned %d results, want %d", len(got), len(reqs))
+	}
+	if n := old.Stats().Dispatched; n != oldDispatched {
+		t.Fatalf("replaced queue dispatched %d more after Replace", n-oldDispatched)
+	}
+	for c := range recs {
+		if extra := records(recs[c], base[c]); len(extra) != 0 {
+			t.Fatalf("child %d (old devices) saw %d requests after Replace: %+v", c, len(extra), extra)
+		}
+	}
+	if n := spare.Stats().Dispatched; n != len(reqs) {
+		t.Fatalf("spare queue dispatched %d, want %d", n, len(reqs))
+	}
+	for _, r := range spareRec.Trace().Records {
+		if r.Write || want[r.LBN] != r.Sectors {
+			t.Fatalf("spare served %+v, not one of the lost child's data units", r)
+		}
+		delete(want, r.LBN)
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d lost-child units never reached the spare", len(want))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"traxtents/internal/device"
-	"traxtents/internal/device/event"
 	"traxtents/internal/device/sched"
 	"traxtents/internal/traxtent"
 )
@@ -104,15 +103,6 @@ type Array struct {
 	routes    []map[int]int
 	nextSeq   int
 	lastIssue float64
-
-	// Event-core citizenship: when any child is a *sched.Queue the
-	// array owns a discrete-event core and a fleet adapter over the
-	// queued children, so DrainEach advances every spindle on one clock in
-	// global (time, seq) order instead of flushing child by child.
-	// Completions still fold child-major (see DrainEach), keeping results
-	// bit-identical to the legacy join.
-	core  *event.Core
-	fleet *event.Queues
 }
 
 // join is one array-level request being assembled from child spans.
@@ -277,18 +267,6 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 	a.spanBuf = make([]span, 0, n)
 	a.spanOf = make([]int, n)
 	a.routes = make([]map[int]int, n)
-	anyQueued := false
-	qslots := make([]*sched.Queue, n)
-	for i, c := range children {
-		if q, ok := c.(*sched.Queue); ok {
-			qslots[i] = q
-			anyQueued = true
-		}
-	}
-	if anyQueued {
-		a.core = event.New()
-		a.fleet = event.NewQueues(a.core, qslots, nil)
-	}
 
 	// A common child rotation period is the array's; mixed spindles (or
 	// non-rotational children) leave it unknown.
@@ -481,13 +459,6 @@ func (a *Array) childOp(at float64, c int, sub device.Request) (*device.Result, 
 	for attempt := 0; ; attempt++ {
 		err := device.ServeInto(a.children[c], at, sub, r)
 		if err == nil {
-			if _, ok := a.children[c].(*sched.Queue); ok && a.fleet != nil {
-				// The barrier ran the queue's clock forward; any event
-				// scheduled at its old decision instant is stale now.
-				if terr := a.fleet.Touch(c); terr != nil {
-					return nil, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: terr}
-				}
-			}
 			return r, nil
 		}
 		if a.parity && device.IsTransient(err) && attempt < maxRetries {
@@ -807,9 +778,6 @@ func (a *Array) submitSpans(at float64, req device.Request, seq int) error {
 		}
 		a.routes[s.child][cseq] = ji
 		j.remaining++
-		if err := a.fleet.Touch(s.child); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -820,19 +788,12 @@ func (a *Array) Outstanding() int { return len(a.joins) }
 
 // DrainEach commits every outstanding child dispatch, joins the span
 // completions back into their array requests, and calls fn for each
-// assembled result in submission order. With queued children the
-// dispatches advance on the array's event core — every spindle on one
-// clock, decisions committed in global (time, seq) order — and the
-// per-child Flush below is a drained no-op kept as the safety net.
-// Folding is child-major regardless of commit order, so the joined
-// results do not depend on how the core interleaved the spindles.
+// assembled result in submission order. Each queued child flushes its
+// own decisions, child by child in index order: the spindles share no
+// state, so one child's commits cannot move another's, and folding
+// child-major makes the joined results independent of any
+// interleaving across spindles.
 func (a *Array) DrainEach(fn func(seq int, r *device.Result)) error {
-	if a.fleet != nil {
-		// A sticky child error surfaces from the per-child Flush below,
-		// attributed to its child; the core run stops at the first
-		// failure either way.
-		_ = a.fleet.Drain()
-	}
 	var foldErr error
 	for c, child := range a.children {
 		q, ok := child.(*sched.Queue)
@@ -1008,14 +969,6 @@ func (a *Array) Replace(c int, d device.Device) error {
 		return fmt.Errorf("striped: replacement capacity %d < %d", d.Capacity(), need)
 	}
 	a.children[c] = d
-	q, _ := d.(*sched.Queue)
-	if a.fleet != nil {
-		// Swap the fleet slot too (nil for an unqueued replacement);
-		// the old queue's scheduled event goes stale and drops.
-		if err := a.fleet.Update(c, q); err != nil {
-			return fmt.Errorf("striped: child %d: %w", c, err)
-		}
-	}
 	a.lost = -1
 	return nil
 }

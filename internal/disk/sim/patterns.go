@@ -13,7 +13,7 @@ func (d *Disk) OneReq(reqs []Request) ([]Result, error) {
 	out := make([]Result, 0, len(reqs))
 	issue := d.lastDone
 	for _, r := range reqs {
-		res, err := d.SubmitAt(issue, r)
+		res, err := d.Serve(issue, r)
 		if err != nil {
 			return nil, err
 		}
@@ -30,7 +30,7 @@ func (d *Disk) TwoReq(reqs []Request) ([]Result, error) {
 	out := make([]Result, 0, len(reqs))
 	issue := d.lastDone
 	for i, r := range reqs {
-		res, err := d.SubmitAt(issue, r)
+		res, err := d.Serve(issue, r)
 		if err != nil {
 			return nil, err
 		}

@@ -119,7 +119,16 @@ var (
 )
 
 // Serve services one request issued at the given time (device.Device).
-func (d *Disk) Serve(at float64, req Request) (Result, error) { return d.SubmitAt(at, req) }
+// Requests must be submitted in non-decreasing issue order; the disk
+// queues them FCFS. The returned Result contains the complete timing
+// breakdown.
+func (d *Disk) Serve(at float64, req Request) (Result, error) {
+	var res Result
+	if err := d.ServeInto(at, req, &res); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
 
 // Capacity returns the number of addressable LBNs.
 func (d *Disk) Capacity() int64 { return d.Lay.NumLBNs() }
@@ -148,18 +157,7 @@ func (d *Disk) sectorBusTime() float64 {
 	return float64(d.Lay.G.SectorSize) / (d.Cfg.BusMBps * 1000) // bytes / (bytes per ms)
 }
 
-// SubmitAt services one request issued at the given time. Requests must
-// be submitted in non-decreasing issue order; the disk queues them FCFS.
-// The returned Result contains the complete timing breakdown.
-func (d *Disk) SubmitAt(issue float64, req Request) (Result, error) {
-	var res Result
-	if err := d.ServeInto(issue, req, &res); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// ServeInto is SubmitAt writing the result into *res (device.InPlace).
+// ServeInto is Serve writing the result into *res (device.InPlace).
 func (d *Disk) ServeInto(issue float64, req Request, res *Result) error {
 	// The shared overflow-safe gate: accepting exactly what CheckRequest
 	// accepts is a conformance invariant (devtest.Fuzz checks agreement).
@@ -196,7 +194,7 @@ func (d *Disk) ServeInto(issue float64, req Request, res *Result) error {
 
 // Submit issues the request as soon as the previous completion is known
 // (the paper's onereq pattern when used back to back).
-func (d *Disk) Submit(req Request) (Result, error) { return d.SubmitAt(d.lastDone, req) }
+func (d *Disk) Submit(req Request) (Result, error) { return d.Serve(d.lastDone, req) }
 
 func (d *Disk) serviceRead(issue float64, req Request, res *Result) {
 	// Full cache hit: bus-only service.

@@ -230,9 +230,9 @@ func TestPrefetchContinuation(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	// Wait 3 ms (30 sectors worth) before the next sequential read.
-	r2, err := d.SubmitAt(r1.Done+3.0, Request{LBN: 100, Sectors: 100})
+	r2, err := d.Serve(r1.Done+3.0, Request{LBN: 100, Sectors: 100})
 	if err != nil {
-		t.Fatalf("SubmitAt: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	if r2.Prefetched == 0 {
 		t.Fatal("expected prefetched sectors on sequential continuation")
@@ -472,9 +472,9 @@ func TestServeDifferentialClosedVsLoopDrain(t *testing.T) {
 			drained := 0
 			check := func(i int, issue float64, req Request) {
 				busFree := d.busFree
-				res, err := d.SubmitAt(issue, req)
+				res, err := d.Serve(issue, req)
 				if err != nil {
-					t.Fatalf("SubmitAt: %v", err)
+					t.Fatalf("Serve: %v", err)
 				}
 				if req.Write || res.CacheHit {
 					return // no availability-paced drain
@@ -528,9 +528,9 @@ func TestServePoolingBitIdentical(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			n := 1 + rng.Intn(200)
 			req := Request{LBN: rng.Int63n(d.Lay.NumLBNs() - int64(n)), Sectors: n, Write: rng.Intn(5) == 0}
-			r, err := d.SubmitAt(issue, req)
+			r, err := d.Serve(issue, req)
 			if err != nil {
-				t.Fatalf("SubmitAt: %v", err)
+				t.Fatalf("Serve: %v", err)
 			}
 			out = append(out, r.Done, r.Response(), r.BusTime)
 			issue = r.Done

@@ -76,7 +76,7 @@ func TransferInefficiency(m model.Model, segSectors int, aligned bool, samples i
 		} else {
 			lbn = zFirst + rng.Int63n(zLast-zFirst+1-int64(segSectors))
 		}
-		res, err := d.SubmitAt(d.Now(), sim.Request{LBN: lbn, Sectors: segSectors, Write: true})
+		res, err := d.Serve(d.Now(), sim.Request{LBN: lbn, Sectors: segSectors, Write: true})
 		if err != nil {
 			return 0, err
 		}

@@ -1,7 +1,6 @@
 // Package stats provides the small set of statistics helpers used by the
-// traxtents experiments: means, standard deviations, percentiles,
-// fixed-width histograms for response-time distributions, and a
-// streaming P² quantile estimator (Quantile) for online p99/p99.99
+// traxtents experiments: means, standard deviations, percentiles, and
+// a streaming P² quantile estimator (Quantile) for online p99/p99.99
 // accounting without stored samples.
 //
 // Tails groups the p50/p99/p99.99 estimators an accounting owner

@@ -131,75 +131,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p99=%.3f p99.99=%.3f max=%.3f",
 		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P99, s.P9999, s.Max)
 }
-
-// Histogram is a fixed-width histogram over [Lo, Hi). Samples outside the
-// range are clamped into the first/last bucket so that totals always match
-// the number of observations.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Buckets)
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(n))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Buckets[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BucketCenter returns the midpoint value of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// CDF returns, for each bucket upper edge, the cumulative fraction of
-// observations at or below it. Empty histogram yields all zeros.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Buckets))
-	if h.total == 0 {
-		return out
-	}
-	run := 0
-	for i, c := range h.Buckets {
-		run += c
-		out[i] = float64(run) / float64(h.total)
-	}
-	return out
-}
-
-// InvCDF returns the smallest bucket upper edge whose cumulative fraction
-// reaches q (0..1]. It is the histogram analogue of a percentile and is
-// used to pick round times that satisfy a deadline-miss probability.
-func (h *Histogram) InvCDF(q float64) float64 {
-	cdf := h.CDF()
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range cdf {
-		if c >= q {
-			return h.Lo + float64(i+1)*w
-		}
-	}
-	return h.Hi
-}

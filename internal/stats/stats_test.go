@@ -61,32 +61,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	h.Add(-5) // clamps into first bucket
-	h.Add(50) // clamps into last bucket
-	if h.Total() != 102 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	cdf := h.CDF()
-	if cdf[len(cdf)-1] != 1 {
-		t.Fatalf("CDF should end at 1: %v", cdf)
-	}
-	if got := h.InvCDF(0.5); got < 4 || got > 7 {
-		t.Fatalf("InvCDF(0.5) = %g", got)
-	}
-	if c := h.BucketCenter(0); c != 0.5 {
-		t.Fatalf("BucketCenter(0) = %g", c)
-	}
-	// Degenerate constructions are clamped, not panics.
-	if NewHistogram(5, 5, 0).Total() != 0 {
-		t.Fatal("degenerate histogram")
-	}
-}
-
 // TestQuickPercentileMonotone: percentiles are monotone in p and bounded
 // by min/max for arbitrary samples.
 func TestQuickPercentileMonotone(t *testing.T) {

@@ -8,6 +8,7 @@ package volume
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -188,6 +189,66 @@ func TestSubmitMidBatchRollback(t *testing.T) {
 	// surfaces its error rather than silently dropping the shard.
 	if err := m.Drain(); err == nil {
 		t.Fatal("drain over a sticky lost shard reported success")
+	}
+}
+
+// TestQueuedTierFailureIsSticky: on a reordering tier, dispatch is
+// lazy, so a lost shard fails inside the advance of a later Submit
+// rather than at its own. The failed request stays pending on its
+// tier, so every later advance reports the same typed error, before
+// admission and without disturbing the tenant it was issued for; Drain
+// reports it too. Unlike an idle FCFS tier (TestSubmitMidBatchRollback),
+// the failure is not confined to the Submits routed to the lost shard.
+func TestQueuedTierFailureIsSticky(t *testing.T) {
+	lost, err := faults.New(simDisk(t, 2), faults.WithFailAt(0))
+	if err != nil {
+		t.Fatalf("faults.New: %v", err)
+	}
+	m, err := New([]device.Device{simDisk(t, 1), lost}, WithTier("fair"), WithTierDepth(4))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// One single-extent tenant on each shard.
+	var onShard [2]*Volume
+	for i := 0; onShard[0] == nil || onShard[1] == nil; i++ {
+		if i == 64 {
+			t.Fatal("no probed tenant names cover both shards")
+		}
+		v, err := m.AddVolume(fmt.Sprintf("t%d", i), 64)
+		if err != nil {
+			t.Fatalf("AddVolume: %v", err)
+		}
+		if s := v.exts[0].Shard; onShard[s] == nil {
+			onShard[s] = v
+		}
+	}
+	healthy, doomed := onShard[0], onShard[1]
+	req := device.Request{LBN: 0, Sectors: 8}
+
+	// Queued, not yet dispatched: the tier accepts it.
+	if err := m.Submit(doomed.name, 1, req); err != nil {
+		t.Fatalf("submit to the lost shard: %v", err)
+	}
+	before := captureAdmit(m, healthy)
+	var first *device.Error
+	for i, at := range []float64{2, 3} {
+		err := m.Submit(healthy.name, at, req)
+		var de *device.Error
+		if !errors.As(err, &de) || errors.Is(err, ErrRejected) {
+			t.Fatalf("submit %d advancing over the lost shard: err = %v, want a *device.Error", i, err)
+		}
+		if first == nil {
+			first = de
+		} else if de != first {
+			t.Fatalf("submit %d reported %v, want the tier's sticky error %v", i, de, first)
+		}
+		if got := captureAdmit(m, healthy); !reflect.DeepEqual(got, before) {
+			t.Fatalf("failed advance %d disturbed the healthy tenant:\nbefore: %+v\nafter:  %+v", i, before, got)
+		}
+	}
+	var de *device.Error
+	if err := m.Drain(); !errors.As(err, &de) || de != first {
+		t.Fatalf("drain over the lost shard: err = %v, want the tier's sticky error", err)
 	}
 }
 

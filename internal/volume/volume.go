@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"traxtents/internal/device"
-	"traxtents/internal/device/event"
 	"traxtents/internal/device/sched"
 	"traxtents/internal/disk/mech"
 	"traxtents/internal/stats"
@@ -390,17 +389,6 @@ type Manager struct {
 
 	spanBuf []span
 
-	// Event-core citizenship: the shard tiers are one fleet on one
-	// discrete-event core, so an advance commits dispatch decisions
-	// across all shards in global (time, seq) order — deterministic
-	// under exact float64 ties — instead of shard by shard. Commits
-	// only mark shards dirty; completions fold in ascending shard
-	// order afterwards (fold), which keeps the P² accounting stream
-	// bit-identical to the legacy shard-major join.
-	core  *event.Core
-	fleet *event.Queues
-	dirty []bool
-
 	// Prebound fold state (zero-alloc ConsumeCompleted loop).
 	foldCur *shard
 	foldErr error
@@ -472,22 +460,8 @@ func New(shards []device.Device, opts ...Option) (*Manager, error) {
 		m.shards = append(m.shards, sh)
 	}
 	m.rotation = commonRotation(shards)
-	m.core = event.New()
-	qs := make([]*sched.Queue, len(m.shards))
-	for i, sh := range m.shards {
-		qs[i] = sh.tier
-	}
-	m.fleet = event.NewQueues(m.core, qs, m.markDirty)
-	m.dirty = make([]bool, len(m.shards))
 	m.foldFn = m.foldOne
 	return m, nil
-}
-
-// markDirty is the fleet's commit hook: a committed tier dispatch may
-// have buffered completions, so the shard joins the next fold sweep.
-func (m *Manager) markDirty(i int) error {
-	m.dirty[i] = true
-	return nil
 }
 
 // extentBounds builds a shard's extent table: its own traxtent
@@ -785,46 +759,54 @@ func (m *Manager) route(v *Volume, issue, release float64, req device.Request) e
 			return err
 		}
 		sp.sh.routes = append(sp.sh.routes, route{slot: span0 + si, key: m.tag(sp.sh, v, start, release, sp.sectors)})
-		// The tier's Submit may have committed earlier decisions
-		// internally, and its next decision instant moved: re-sweep the
-		// shard on the next fold and reschedule its event.
-		m.dirty[sp.sh.idx] = true
-		if err := m.fleet.Touch(sp.sh.idx); err != nil {
+	}
+	return nil
+}
+
+// release routes every held request due by t, in release order (ties
+// by arrival). Routing issues a request to the tiers at its release
+// instant, so the manager's issue clock moves there too: a later
+// Submit before that instant is rejected up front, not inside a tier
+// mid-batch.
+func (m *Manager) release(t float64) error {
+	for len(m.held) > 0 && m.held[0].release <= t {
+		h := heap.Pop(&m.held).(heldReq)
+		m.lastIssue = max(m.lastIssue, h.release)
+		if err := m.route(h.vol, h.issue, h.release, h.req); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// advanceTo releases every held request due by at (in release order,
-// ties by arrival), commits tier decisions before at — as events on
-// the shared core, in global (time, seq) order across all shards —
-// and folds the resulting completions.
+// advanceTo releases every held request due by at, commits each
+// tier's decisions before at, and folds the resulting completions. The
+// tiers share no state, so committing them one after another in shard
+// order is the same as any interleaving. Only a tier with requests
+// pending is advanced: an idle tier whose synchronous (FCFS) dispatch
+// failed keeps its sticky error for the Submits routed to it and for
+// Drain, instead of failing traffic to healthy shards.
 func (m *Manager) advanceTo(at float64) error {
-	for len(m.held) > 0 && m.held[0].release <= at {
-		h := heap.Pop(&m.held).(heldReq)
-		if err := m.route(h.vol, h.issue, h.release, h.req); err != nil {
+	if err := m.release(at); err != nil {
+		return err
+	}
+	for _, sh := range m.shards {
+		if sh.tier.Pending() == 0 {
+			continue
+		}
+		if err := sh.tier.AdvanceTo(at); err != nil {
 			return err
 		}
-	}
-	if err := m.fleet.AdvanceTo(at); err != nil {
-		return err
 	}
 	return m.fold()
 }
 
-// fold routes finished tier completions back to their joins and
-// accounts every fully reassembled request. Only shards marked dirty
-// by a commit (or a direct tier submit) are swept, in ascending shard
-// order — the same accounting order as a sweep of every shard, since
-// clean shards have nothing buffered. A completion no join owns is an
-// accounting fault, not a silently misattributed request.
+// fold routes finished tier completions back to their joins, sweeping
+// the shards in ascending order, and accounts every fully reassembled
+// request. A completion no join owns is an accounting fault, not a
+// silently misattributed request.
 func (m *Manager) fold() error {
-	for i, sh := range m.shards {
-		if !m.dirty[i] {
-			continue
-		}
-		m.dirty[i] = false
+	for _, sh := range m.shards {
 		m.foldCur = sh
 		sh.tier.ConsumeCompleted(m.foldFn)
 		if err := m.foldErr; err != nil {
@@ -920,25 +902,17 @@ func (m *Manager) account(v *Volume, res *device.Result) {
 	}
 }
 
-// Drain releases every held request, commits every remaining tier
-// decision on the event core, and folds all remaining completions into
-// the accounting.
+// Drain releases every held request, flushes every tier in shard
+// order (a sticky tier error surfaces here), and folds all remaining
+// completions into the accounting.
 func (m *Manager) Drain() error {
-	for len(m.held) > 0 {
-		h := heap.Pop(&m.held).(heldReq)
-		if err := m.route(h.vol, h.issue, h.release, h.req); err != nil {
-			return err
-		}
+	if err := m.release(math.Inf(1)); err != nil {
+		return err
 	}
-	// One clock: every shard's decisions commit in global (time, seq)
-	// order. A sticky tier error surfaces identically from the Flush
-	// safety net below, in shard order like the legacy drain.
-	_ = m.fleet.Drain()
-	for i, sh := range m.shards {
+	for _, sh := range m.shards {
 		if err := sh.tier.Flush(); err != nil {
 			return err
 		}
-		m.dirty[i] = true // barrier: sweep every shard in the fold
 	}
 	if err := m.fold(); err != nil {
 		return err

@@ -292,6 +292,44 @@ func TestAdmissionPoliceAndShape(t *testing.T) {
 	}
 }
 
+// TestDrainDeferredIssueClock: Drain routes shaped requests at their
+// future release instants, and the manager's issue clock must follow
+// them there. A later Submit before the last release is then refused
+// by the manager's own issue-order check, up front — not accepted,
+// admitted, and failed inside the shard tier mid-route.
+func TestDrainDeferredIssueClock(t *testing.T) {
+	req := device.Request{LBN: 0, Sectors: 8}
+	m := newManager(t, 1)
+	addVol(t, m, "a", 10000, volume.WithLimit(volume.TenantLimit{IOPS: 100, BurstRequests: 1, Defer: true}))
+	addVol(t, m, "b", 10000)
+	for i := 0; i < 5; i++ {
+		if err := m.Submit("a", float64(i), req); err != nil {
+			t.Fatalf("shaped request at t=%d: %v", i, err)
+		}
+	}
+	// One token, 10 ms refill: the requests at t=1..4 release at
+	// t=10, 20, 30 and 40.
+	if err := m.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	err := m.Submit("b", 5, req)
+	if err == nil || err.Error() != "volume: issue time 5 before previous 40" {
+		t.Fatalf("Submit at t=5 after Drain: err = %v, want the manager's issue-order rejection", err)
+	}
+	if err := m.Submit("b", 40, req); err != nil {
+		t.Fatalf("Submit at the last release instant: %v", err)
+	}
+	if err := m.Drain(); err != nil {
+		t.Fatalf("second Drain: %v", err)
+	}
+	if s, _ := m.VolumeStats("b"); s.Requests != 1 || s.InFlight != 0 {
+		t.Fatalf("tenant b stats = %+v, want 1 served, none in flight", s)
+	}
+	if s, _ := m.VolumeStats("a"); s.Requests != 5 || s.Deferred != 4 {
+		t.Fatalf("tenant a stats = %+v, want 5 served, 4 deferred", s)
+	}
+}
+
 // TestAdmissionExactLoad: a limit exactly equal to the offered load
 // admits everything — the boundary case where each refill interval
 // earns exactly one request.
