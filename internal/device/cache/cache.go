@@ -17,11 +17,17 @@ type config struct {
 	readahead   bool
 	writeBack   bool
 	slru        bool
-	protFrac    float64
 	lineSectors int64
-	hitOverhead float64
-	hitMBps     float64
 }
+
+// Fixed cache parameters: the SLRU protected segment's share of the
+// budget, and the host-port timing of a hit — a fixed overhead in ms
+// plus the transfer at the port rate in MB/s.
+const (
+	protectedFrac = 0.5
+	hitOverheadMs = 0.05
+	hitMBps       = 320
+)
 
 // Option configures a Cache.
 type Option func(*config)
@@ -59,17 +65,10 @@ func WithWriteBack(on bool) Option {
 
 // WithSegmentedLRU switches eviction from plain LRU to segmented LRU:
 // new lines enter a probationary segment and are promoted to a
-// protected segment on re-reference, so a one-pass scan cannot flush
-// the hot set. The default is plain LRU.
+// protected segment (at most half the budget) on re-reference, so a
+// one-pass scan cannot flush the hot set. The default is plain LRU.
 func WithSegmentedLRU(on bool) Option {
 	return func(c *config) { c.slru = on }
-}
-
-// WithProtectedFrac sets the fraction of the budget reserved for the
-// SLRU protected segment (default 0.5). Only meaningful with
-// WithSegmentedLRU.
-func WithProtectedFrac(f float64) Option {
-	return func(c *config) { c.protFrac = f }
 }
 
 // WithLineSectors sets the line size used when the wrapped device
@@ -77,18 +76,6 @@ func WithProtectedFrac(f float64) Option {
 // boundaries always use track-granular lines.
 func WithLineSectors(n int64) Option {
 	return func(c *config) { c.lineSectors = n }
-}
-
-// WithHitOverheadMs sets the fixed host-side service time of a cache
-// hit in ms (default 0.05).
-func WithHitOverheadMs(ms float64) Option {
-	return func(c *config) { c.hitOverhead = ms }
-}
-
-// WithHitMBps sets the cache-to-host transfer rate in MB/s for hit
-// data (default 320); 0 transfers instantly.
-func WithHitMBps(mbps float64) Option {
-	return func(c *config) { c.hitMBps = mbps }
 }
 
 // Stats aggregates cache activity. Hits and Misses count demand reads
@@ -194,7 +181,6 @@ type Cache struct {
 	writeBack   bool
 	slru        bool
 	protCap     int64
-	hitOverhead float64
 	hitSectorMs float64
 	bypass      bool
 
@@ -249,10 +235,7 @@ func New(d device.Device, opts ...Option) (*Cache, error) {
 		capInMB:     true,
 		capMB:       4,
 		readahead:   true,
-		protFrac:    0.5,
 		lineSectors: 128,
-		hitOverhead: 0.05,
-		hitMBps:     320,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -270,12 +253,6 @@ func New(d device.Device, opts ...Option) (*Cache, error) {
 	if cfg.lineSectors <= 0 {
 		return nil, fmt.Errorf("cache: line of %d sectors", cfg.lineSectors)
 	}
-	if cfg.protFrac < 0 || cfg.protFrac > 1 {
-		return nil, fmt.Errorf("cache: protected fraction %g outside [0,1]", cfg.protFrac)
-	}
-	if cfg.hitOverhead < 0 {
-		return nil, fmt.Errorf("cache: negative hit overhead %g ms", cfg.hitOverhead)
-	}
 	c := &Cache{
 		inner:       d,
 		capLBNs:     d.Capacity(),
@@ -283,13 +260,10 @@ func New(d device.Device, opts ...Option) (*Cache, error) {
 		readahead:   cfg.readahead,
 		writeBack:   cfg.writeBack,
 		slru:        cfg.slru,
-		protCap:     int64(cfg.protFrac * float64(budget)),
-		hitOverhead: cfg.hitOverhead,
+		protCap:     int64(protectedFrac * float64(budget)),
+		hitSectorMs: float64(d.SectorSize()) / (hitMBps * 1000),
 		bypass:      budget == 0,
 		lines:       make(map[int]*line),
-	}
-	if cfg.hitMBps > 0 {
-		c.hitSectorMs = float64(d.SectorSize()) / (cfg.hitMBps * 1000)
 	}
 	c.batch, _ = d.(device.Batch)
 	c.settleFn = c.settle
@@ -384,7 +358,7 @@ func (c *Cache) Serve(at float64, req device.Request) (device.Result, error) {
 func (c *Cache) servePort(at float64, req device.Request, pos int) {
 	start := max(at, c.portFree)
 	xfer := float64(req.Sectors) * c.hitSectorMs
-	done := start + c.hitOverhead + xfer
+	done := start + hitOverheadMs + xfer
 	c.portFree = done
 	c.noteDone(done)
 	s := &c.pend[pos]

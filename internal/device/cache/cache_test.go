@@ -84,9 +84,6 @@ func TestNewValidation(t *testing.T) {
 		{cache.WithCapacitySectors(-100)},
 		{cache.WithLineSectors(0)},
 		{cache.WithLineSectors(-8)},
-		{cache.WithProtectedFrac(1.5)},
-		{cache.WithProtectedFrac(-0.1)},
-		{cache.WithHitOverheadMs(-1)},
 	}
 	for i, opts := range bad {
 		if _, err := cache.New(d, opts...); err == nil {
@@ -425,7 +422,7 @@ func TestName(t *testing.T) {
 // Submit path's bypass/FUA forwarding over a plain (non-lazy) device.
 func TestAccessorsAndSubmitBypass(t *testing.T) {
 	d := newSim(t, 1)
-	c := newCached(t, d, cache.WithCapacitySectors(0), cache.WithHitMBps(0))
+	c := newCached(t, d, cache.WithCapacitySectors(0))
 	if c.Inner() != device.Device(d) {
 		t.Fatal("Inner does not return the wrapped device")
 	}

@@ -92,9 +92,9 @@ func pinDigest(t *testing.T, c *cache.Cache, n int, seed int64) string {
 //   - write-back over a reordering queue (CLOOK depth 8, SSTF depth 4):
 //     an eviction's writeback and the fill that follows it are ordered
 //     by the queue's scheduler;
-//   - over an array with queued children: the array joins spans
-//     child-major, so BusTime of a multi-span request is summed in
-//     child order.
+//   - over an array with queued children: the spans of a batch's
+//     requests land in each child's scheduling order, and the array
+//     sums a multi-span request's BusTime in split order.
 //
 // The other compositions have nothing to reorder: a write-through
 // request sends a queue at most one inner request, and the bare disk
@@ -114,7 +114,7 @@ func TestServePin(t *testing.T) {
 		{name: "wb/sstf-d4", writeBack: true, inner: sstf, digest: "f3ff0447cb7277ac"},
 		{name: "wt/striped-queued", inner: func(t *testing.T) device.Device {
 			return pinArray(t, striped.WithQueuedChildren(sched.WithDepth(4), sched.WithScheduler(sched.CLOOK())))
-		}, digest: "186ea783e95c7162"},
+		}, digest: "feb6574578ea38e7"},
 	}
 	for _, p := range pins {
 		t.Run(p.name, func(t *testing.T) {

@@ -30,10 +30,10 @@ func newSim(t testing.TB, seed int64) *sim.Disk {
 	return d
 }
 
-func newStriped(t testing.TB) device.Device {
+func newStriped(t testing.TB, opts ...striped.Option) device.Device {
 	t.Helper()
 	children := []device.Device{newSim(t, 1), newSim(t, 2), newSim(t, 3)}
-	a, err := striped.New(children)
+	a, err := striped.New(children, opts...)
 	if err != nil {
 		t.Fatalf("striped.New: %v", err)
 	}

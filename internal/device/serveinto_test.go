@@ -69,6 +69,7 @@ func TestServeIntoMatchesServe(t *testing.T) {
 		{"sim", func(t *testing.T) device.Device { return newSim(t, 5) }, false, false},
 		{"faults", func(t *testing.T) device.Device { return newFaulty(t, 5, 36000) }, true, false},
 		{"striped", func(t *testing.T) device.Device { return newStriped(t) }, false, false},
+		{"striped-queued", func(t *testing.T) device.Device { return newStriped(t, striped.WithQueuedChildren()) }, false, false},
 		{"parity", func(t *testing.T) device.Device { return newParity(t, false) }, false, false},
 		{"parity-degraded", func(t *testing.T) device.Device { return newParity(t, true) }, false, false},
 		{"parity-faults", func(t *testing.T) device.Device { return newFaultyParity(t) }, false, true},

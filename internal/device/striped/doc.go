@@ -13,13 +13,14 @@
 // facade's GroundTruthTable) aligns requests to stripe units exactly as
 // a single-disk table aligns them to tracks.
 //
-// Key types: Array (a device.Batch over N children, whose
-// Submit/DrainEach path lazily queues each request's spans on
-// queued children so every spindle's scheduler reorders its own span
-// stream), Option (WithChunkSectors, WithQueuedChildren).
+// Key types: Array (a device.Batch whose Serve is a batch of one;
+// Submit lazily queues spans on queued children, so every spindle's
+// scheduler reorders its own span stream), Option (WithChunkSectors,
+// WithQueuedChildren, WithParity).
 //
 // Determinism: span fan-out and join run on the caller's goroutine in
-// virtual time; child order is fixed, so a seeded workload over an
-// array is bit-identical at any GOMAXPROCS, and the Submit/DrainEach path
-// is pinned bit-identical to Serve on plain children.
+// virtual time; child order is fixed and joins sum bus time in split
+// order, so a seeded workload over an array is bit-identical at any
+// GOMAXPROCS, and Submit/DrainEach is pinned bit-identical to Serve on
+// plain and FCFS-queued children.
 package striped

@@ -31,7 +31,7 @@ func (a *Array) RAID0CloneForTest(children []device.Device) (*Array, error) {
 		lost:       -1,
 		spanBuf:    make([]span, 0, len(children)),
 		spanOf:     make([]int, len(children)),
-		routes:     make([]map[int]int, len(children)),
+		lanes:      make([]lane, len(children)),
 	}, nil
 }
 

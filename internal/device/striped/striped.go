@@ -1,6 +1,7 @@
 package striped
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -24,12 +25,12 @@ type Option func(*config)
 // WithQueuedChildren wraps every child in its own scheduling queue
 // (sched.New with the given options) at construction: the array then
 // composes per-child queues — the multi-disk analogue of per-drive
-// command queueing. Per-spindle reordering needs concurrent array-level
-// requests, so it takes effect on the Submit/DrainEach path, where each
-// child's queue schedules its own span stream independently; the
-// synchronous Serve path is a barrier per request and leaves nothing
-// for a child scheduler to reorder. The queues forward the children's
-// track boundaries, so traxtent-matched striping still sees the real
+// command queueing. Every request's spans are queued lazily on their
+// children; per-spindle reordering needs concurrent array-level
+// requests, so it takes effect when a batch of Submits is drained
+// together, while Serve, a batch of one, leaves nothing for a child
+// scheduler to reorder. The queues forward the children's track
+// boundaries, so traxtent-matched striping still sees the real
 // geometry. Children that are already *sched.Queue values can of course
 // be passed to New directly instead.
 func WithQueuedChildren(opts ...sched.Option) Option {
@@ -76,7 +77,7 @@ type Array struct {
 	period     float64 // common child rotation period, 0 if mixed/unknown
 	lastDone   float64
 
-	// Parity state. nData is the data units per stripe (N-1);
+	// Parity state. nData is the data units per stripe (N, or N-1);
 	// childStarts[c][s] is where stripe s's unit starts on child c (data
 	// or parity alike); parityChild[s] is the stripe's parity child; lost
 	// is the failed child, -1 while healthy.
@@ -95,25 +96,44 @@ type Array struct {
 	spanOf   []int  // child index -> span index in spanBuf this Serve, -1 if none
 	childRes device.Result
 
-	// Submit/DrainEach state: joins holds array requests whose per-child
-	// spans are in flight on queued children, and routes maps each
-	// queued child's submission sequence numbers to the join they
-	// belong to. nextSeq numbers the array's own submissions.
+	// Batch state: the unreported requests in submission order, one
+	// slot per merged span of theirs, each queued child's routes back to
+	// the slots, and the number of spans queued lazily since the last
+	// settle. nextSeq numbers the array's own submissions.
 	joins     []join
-	routes    []map[int]int
+	spans     []spanSlot
+	lanes     []lane
+	lazy      int
 	nextSeq   int
 	lastIssue float64
 }
 
-// join is one array-level request being assembled from child spans.
+// join is one array-level request being assembled from child spans,
+// whose merged spans hold slots span0 .. span0+spans-1 in split order.
 type join struct {
 	res       device.Result
 	seq       int
-	remaining int // spans still outstanding on queued children
+	span0     int
+	spans     int
+	remaining int // spans still queued lazily on children
 	started   bool
 	// failed marks a request whose Submit was rejected part-way: spans
 	// already in flight still fold into it, but it is never reported.
 	failed bool
+}
+
+// spanSlot is one merged span: its join and, once served, its bus
+// time, which finish sums in split order.
+type spanSlot struct {
+	ji  int
+	bus float64
+}
+
+// lane routes a queued child's lazily submitted spans in the current
+// batch: slots[i] is the span slot of its submission base+i, -1 once in.
+type lane struct {
+	base  int
+	slots []int
 }
 
 var (
@@ -156,9 +176,7 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 		if c.SectorSize() != a.sectorSize {
 			return nil, fmt.Errorf("striped: child %d sector size %d != %d", i, c.SectorSize(), a.sectorSize)
 		}
-		if cc := c.Capacity(); cc < minCap {
-			minCap = cc
-		}
+		minCap = min(minCap, c.Capacity())
 	}
 
 	// Per-child stripe-unit boundary lists.
@@ -201,12 +219,11 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 	// size (each starting at a unit boundary, so none straddles a track).
 	units := len(childBounds[0]) - 1
 	for _, b := range childBounds[1:] {
-		if n := len(b) - 1; n < units {
-			units = n
-		}
+		units = min(units, len(b)-1)
 	}
 	n := len(children)
 	a.lost = -1
+	a.nData = n
 	if cfg.parity {
 		if n < 2 {
 			return nil, fmt.Errorf("striped: parity needs at least 2 children")
@@ -218,41 +235,31 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 			a.childStarts[c] = childBounds[c][:units+1]
 		}
 		a.parityChild = make([]int, units)
-		a.bounds = make([]int64, 0, units*(n-1)+1)
-		a.childLBN = make([]int64, 0, units*(n-1))
-		a.childOf = make([]int, 0, units*(n-1))
-		at := int64(0)
-		a.bounds = append(a.bounds, 0)
-		for s := 0; s < units; s++ {
-			size := childBounds[0][s+1] - childBounds[0][s]
-			for _, b := range childBounds[1:] {
-				if u := b[s+1] - b[s]; u < size {
-					size = u
-				}
-			}
-			p := (n - 1) - s%n
+	}
+	a.bounds = make([]int64, 1, units*a.nData+1)
+	a.childLBN = make([]int64, 0, units*a.nData)
+	a.childOf = make([]int, 0, units*a.nData)
+	at := int64(0)
+	for s := 0; s < units; s++ {
+		p, size := -1, int64(0)
+		if a.parity {
+			p = (n - 1) - s%n
 			a.parityChild[s] = p
-			for c := 0; c < n; c++ {
-				if c == p {
-					continue
-				}
-				a.childOf = append(a.childOf, c)
-				a.childLBN = append(a.childLBN, childBounds[c][s])
-				at += size
-				a.bounds = append(a.bounds, at)
+			size = childBounds[0][s+1] - childBounds[0][s]
+			for _, b := range childBounds[1:] {
+				size = min(size, b[s+1]-b[s])
 			}
 		}
-	} else {
-		a.bounds = make([]int64, 0, units*n+1)
-		a.childLBN = make([]int64, 0, units*n)
-		a.childOf = make([]int, 0, units*n)
-		at := int64(0)
-		a.bounds = append(a.bounds, 0)
-		for j := 0; j < units*n; j++ {
-			c, k := j%n, j/n
+		for c := 0; c < n; c++ {
+			if c == p {
+				continue
+			}
+			if !a.parity {
+				size = childBounds[c][s+1] - childBounds[c][s]
+			}
 			a.childOf = append(a.childOf, c)
-			a.childLBN = append(a.childLBN, childBounds[c][k])
-			at += childBounds[c][k+1] - childBounds[c][k]
+			a.childLBN = append(a.childLBN, childBounds[c][s])
+			at += size
 			a.bounds = append(a.bounds, at)
 		}
 	}
@@ -266,22 +273,17 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 	}
 	a.spanBuf = make([]span, 0, n)
 	a.spanOf = make([]int, n)
-	a.routes = make([]map[int]int, n)
+	a.lanes = make([]lane, n)
 
 	// A common child rotation period is the array's; mixed spindles (or
 	// non-rotational children) leave it unknown.
 	for i, c := range children {
 		r, ok := c.(device.Rotational)
-		if !ok || r.RotationPeriod() <= 0 {
+		if !ok || r.RotationPeriod() <= 0 || (i > 0 && r.RotationPeriod() != a.period) {
 			a.period = 0
 			break
 		}
-		if i == 0 {
-			a.period = r.RotationPeriod()
-		} else if r.RotationPeriod() != a.period {
-			a.period = 0
-			break
-		}
+		a.period = r.RotationPeriod()
 	}
 	return a, nil
 }
@@ -326,11 +328,7 @@ func (a *Array) Name() string {
 
 // TrackBoundaries returns the stripe-unit boundaries: the array's
 // traxtents are its stripe units.
-func (a *Array) TrackBoundaries() []int64 {
-	out := make([]int64, len(a.bounds))
-	copy(out, a.bounds)
-	return out
-}
+func (a *Array) TrackBoundaries() []int64 { return slices.Clone(a.bounds) }
 
 // unitOf returns the stripe unit holding the array LBN: one division
 // for fixed chunks, one bucket lookup in the boundary index for
@@ -364,10 +362,7 @@ func (a *Array) split(req device.Request) []span {
 	left := int64(req.Sectors)
 	j := a.unitOf(lbn)
 	for left > 0 {
-		n := a.bounds[j+1] - lbn // sectors to the unit boundary
-		if n > left {
-			n = left
-		}
+		n := min(a.bounds[j+1]-lbn, left) // sectors to the unit boundary
 		c := a.childOf[j]
 		cl := a.childLBN[j] + (lbn - a.bounds[j])
 		if si := a.spanOf[c]; si >= 0 && out[si].lbn+int64(out[si].sectors) == cl {
@@ -392,24 +387,20 @@ func accumulate(dst *device.Result, started *bool, r *device.Result) {
 	if !*started || r.Start < dst.Start {
 		dst.Start = r.Start
 	}
-	if r.MediaEnd > dst.MediaEnd {
-		dst.MediaEnd = r.MediaEnd
-	}
-	if r.Done > dst.Done {
-		dst.Done = r.Done
-	}
+	dst.MediaEnd = max(dst.MediaEnd, r.MediaEnd)
+	dst.Done = max(dst.Done, r.Done)
 	dst.BusTime += r.BusTime
 	dst.Prefetched += r.Prefetched
 	dst.CacheHit = dst.CacheHit && r.CacheHit
 	*started = true
 }
 
-// Serve services one request synchronously: each per-child span is
-// issued at the request's issue time (the children position and
-// transfer in parallel), and the array's completion is the last
-// child's. The aggregate Result has no media-phase breakdown —
+// Serve services one request synchronously, as a batch of one: each
+// per-child span is issued at the request's issue time (the children
+// position and transfer in parallel), and the array's completion is
+// the last child's. The aggregate Result has no media-phase breakdown —
 // per-child timing is available from the children themselves. Serve is
-// a per-request barrier; it refuses to interleave with an in-flight
+// a per-request barrier; it refuses to interleave with an outstanding
 // Submit batch (DrainEach first) — except on parity arrays, whose
 // submissions are themselves synchronous.
 func (a *Array) Serve(at float64, req device.Request) (device.Result, error) {
@@ -420,28 +411,28 @@ func (a *Array) Serve(at float64, req device.Request) (device.Result, error) {
 	return res, nil
 }
 
-// ServeInto is Serve writing the result into *res (device.InPlace);
-// each child serves in place into the array's scratch result.
+// ServeInto is Serve writing the result into *res (device.InPlace):
+// Submit, settle, and take the request's join. The steady state
+// allocates nothing.
 func (a *Array) ServeInto(at float64, req device.Request, res *device.Result) error {
-	if err := device.CheckRequest(a, req); err != nil {
-		return err
-	}
 	if !a.parity && len(a.joins) > 0 {
 		return fmt.Errorf("striped: %d submitted requests outstanding; drain before Serve", len(a.joins))
 	}
-	// Enforce the issue-order contract up front: a regressive time
-	// rejected by one child mid-fan-out would leave the children's
-	// clocks inconsistently advanced.
-	if at < a.lastIssue {
-		return fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
-	}
-	a.lastIssue = at
-	if err := a.serve(at, req, res); err != nil {
+	if _, err := a.Submit(at, req); err != nil {
+		if a.lazy > 0 {
+			// Land the failed request's queued spans, so Serve stays a
+			// barrier; the request itself is never reported.
+			a.DrainEach(func(int, *device.Result) {})
+		}
 		return err
 	}
-	if res.Done > a.lastDone {
-		a.lastDone = res.Done
+	if err := a.settle(); err != nil {
+		return err
 	}
+	ji := len(a.joins) - 1
+	j := &a.joins[ji]
+	*res = j.res
+	a.joins, a.spans = a.joins[:ji], a.spans[:j.span0]
 	return nil
 }
 
@@ -467,35 +458,6 @@ func (a *Array) childOp(at float64, c int, sub device.Request) (*device.Result, 
 		}
 		return nil, &device.Error{Op: fmt.Sprintf("striped child %d", c), Req: sub, Err: err}
 	}
-}
-
-// serve routes one validated request into *res: parity writes and
-// degraded parity arrays walk stripe units one by one; everything else
-// fans out merged per-child spans — so a healthy parity array reads
-// exactly like RAID-0 over the same data layout.
-func (a *Array) serve(at float64, req device.Request, res *device.Result) error {
-	if a.parity && (req.Write || a.lost >= 0) {
-		return a.serveParity(at, req, res)
-	}
-	*res = device.Result{Req: req, Issue: at, CacheHit: true}
-	started := false
-	for _, s := range a.split(req) {
-		sub := device.Request{LBN: s.lbn, Sectors: s.sectors, Write: req.Write, FUA: req.FUA}
-		r, err := a.childOp(at, s.child, sub)
-		if err != nil {
-			if a.parity && a.absorb(err, s.child) {
-				// The child just failed under a healthy parity read:
-				// re-walk the whole request unit by unit, reconstructing
-				// what the failed child cannot serve. Spans already
-				// served stand — the retry is a fresh pass over the same
-				// addresses.
-				return a.serveParity(at, req, res)
-			}
-			return err
-		}
-		accumulate(res, &started, r)
-	}
-	return nil
 }
 
 // absorb classifies a child failure a healthy parity array survives in
@@ -524,10 +486,7 @@ func (a *Array) serveParity(at float64, req device.Request, res *device.Result) 
 	left := int64(req.Sectors)
 	j := a.unitOf(lbn)
 	for left > 0 {
-		n := a.bounds[j+1] - lbn
-		if n > left {
-			n = left
-		}
+		n := min(a.bounds[j+1]-lbn, left)
 		o := lbn - a.bounds[j]
 		if err := a.serveUnit(at, j, o, n, req, res, &started); err != nil {
 			return err
@@ -560,22 +519,25 @@ func (a *Array) serveUnit(at float64, j int, o, n int64, req device.Request, res
 		return a.reconstruct(at, s, o, n, c, res, started)
 	}
 	if errors.Is(err, device.ErrMedium) {
-		// Reconstruct the window from the peers, then rewrite it in
-		// place: the write reassigns the bad sectors, repairing the
-		// child without degrading the array.
-		if err := a.reconstruct(at, s, o, n, c, res, started); err != nil {
-			return err
-		}
-		w := device.Request{LBN: rd.LBN, Sectors: int(n), Write: true}
-		wr, err := a.childOp(at, c, w)
-		if err != nil {
-			return err
-		}
-		a.dstats.Repairs++
-		accumulate(res, started, wr)
-		return nil
+		return a.repair(at, s, o, n, c, res, started)
 	}
 	return err
+}
+
+// repair reconstructs the [o, o+n) window of stripe s's unit on child
+// c from the peers, then rewrites it in place: the write reassigns the
+// bad sectors, repairing the child without degrading the array.
+func (a *Array) repair(at float64, s int, o, n int64, c int, res *device.Result, started *bool) error {
+	if err := a.reconstruct(at, s, o, n, c, res, started); err != nil {
+		return err
+	}
+	wr, err := a.childOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n), Write: true})
+	if err != nil {
+		return err
+	}
+	a.dstats.Repairs++
+	accumulate(res, started, wr)
+	return nil
 }
 
 // reconstruct answers the [o, o+n) window of stripe s's unit on child
@@ -591,18 +553,26 @@ func (a *Array) reconstruct(at float64, s int, o, n int64, skip int, res *device
 			Err: fmt.Errorf("%w: stripe %d cannot reconstruct with children %d and %d both failed", device.ErrMedium, s, a.lost, skip),
 		}
 	}
+	if err := a.readPeers(at, s, o, n, skip, skip, res, started); err != nil {
+		return err
+	}
+	a.dstats.Reconstructs++
+	return nil
+}
+
+// readPeers reads the [o, o+n) window of stripe s on every child but x
+// and y, all at the same instant.
+func (a *Array) readPeers(at float64, s int, o, n int64, x, y int, res *device.Result, started *bool) error {
 	for c := range a.children {
-		if c == skip {
+		if c == x || c == y {
 			continue
 		}
-		rd := device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n)}
-		r, err := a.childOp(at, c, rd)
+		r, err := a.childOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n)})
 		if err != nil {
 			return err
 		}
 		accumulate(res, started, r)
 	}
-	a.dstats.Reconstructs++
 	return nil
 }
 
@@ -618,16 +588,8 @@ func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, res
 		// The unit's child is gone: fold the new data into parity
 		// instead — read the stripe's surviving data units and rewrite
 		// parity as their XOR with the new data.
-		for cc := range a.children {
-			if cc == c || cc == p {
-				continue
-			}
-			rd := device.Request{LBN: a.childStarts[cc][s] + o, Sectors: int(n)}
-			r, err := a.childOp(at, cc, rd)
-			if err != nil {
-				return err
-			}
-			accumulate(res, started, r)
+		if err := a.readPeers(at, s, o, n, c, p, res, started); err != nil {
+			return err
 		}
 		r, err := a.childOp(at, p, parW)
 		if err != nil {
@@ -681,16 +643,8 @@ func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, res
 // the other data units and both target windows are rewritten, which
 // also repairs the bad sectors in place.
 func (a *Array) rewriteUnit(at float64, s int, o, n int64, c, p int, fua bool, res *device.Result, started *bool) error {
-	for cc := range a.children {
-		if cc == c || cc == p {
-			continue
-		}
-		rd := device.Request{LBN: a.childStarts[cc][s] + o, Sectors: int(n)}
-		r, err := a.childOp(at, cc, rd)
-		if err != nil {
-			return err
-		}
-		accumulate(res, started, r)
+	if err := a.readPeers(at, s, o, n, c, p, res, started); err != nil {
+		return err
 	}
 	for _, ph := range [2]struct {
 		c   int
@@ -707,130 +661,167 @@ func (a *Array) rewriteUnit(at float64, s int, o, n int64, c, p int, fua bool, r
 	return nil
 }
 
-// Submit enqueues one array request issued at the given host time on
-// the concurrent path and returns its sequence number: every per-child
-// span is handed to its child — lazily scheduled when the child is a
-// *sched.Queue (per-spindle reordering), served immediately otherwise
-// — and the array-level results are assembled by DrainEach. Issue
-// times must be non-decreasing across Submit/Serve calls. Children
-// managed by the array must not be driven directly while a batch is
-// outstanding.
+// Submit enqueues one array request issued at the given host time and
+// returns its sequence number; DrainEach reports the assembled result.
+// Parity writes and degraded parity arrays walk stripe units
+// synchronously (lazy per-child scheduling cannot order dependent
+// read-modify-write phases); other requests fan out in submitSpans.
+// Issue times must be non-decreasing across Submit/Serve calls, and
+// children must not be driven directly while a batch is outstanding.
 func (a *Array) Submit(at float64, req device.Request) (int, error) {
 	if err := device.CheckRequest(a, req); err != nil {
 		return 0, err
 	}
+	// Enforce the issue-order contract up front: a regressive time
+	// rejected by one child mid-fan-out would leave the children's
+	// clocks inconsistently advanced.
 	if at < a.lastIssue {
 		return 0, fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
 	}
 	a.lastIssue = at
-	seq := a.nextSeq
-	if a.parity {
-		// Parity updates are read-modify-write: the phase-2 writes
-		// depend on the phase-1 reads, which lazy per-child scheduling
-		// cannot order. Parity arrays therefore serve each submission
-		// synchronously, straight into the join; DrainEach still
-		// reports results in submission order, so batch drivers work
-		// unchanged.
-		n := len(a.joins)
-		a.joins = slices.Grow(a.joins, 1)[:n+1]
-		j := &a.joins[n]
-		j.seq, j.remaining, j.started, j.failed = seq, 0, true, false
-		if err := a.serve(at, req, &j.res); err != nil {
-			a.joins = a.joins[:n]
-			return 0, err
+	ji := len(a.joins)
+	a.joins = append(a.joins, join{res: device.Result{Req: req, Issue: at, CacheHit: true}, seq: a.nextSeq, span0: len(a.spans)})
+	var err error
+	if a.parity && (req.Write || a.lost >= 0) {
+		err = a.serveParity(at, req, &a.joins[ji].res)
+	} else {
+		err = a.submitSpans(at, req, ji)
+	}
+	j := &a.joins[ji]
+	if err != nil {
+		j.failed = true // spans in flight still fold into it; it is never reported
+		if j.remaining == 0 {
+			a.joins, a.spans = a.joins[:ji], a.spans[:j.span0]
 		}
-		a.lastDone = max(a.lastDone, j.res.Done)
-	} else if err := a.submitSpans(at, req, seq); err != nil {
 		return 0, err
 	}
+	if j.remaining == 0 {
+		a.finish(j)
+	}
 	a.nextSeq++
-	return seq, nil
+	return j.seq, nil
 }
 
-// submitSpans registers a join for req and hands each per-child span
-// to its child: queued children get it lazily, routed back by the
-// queue's sequence number; any other child serves it now. A span the
-// child rejects fails the join: spans already in flight still fold
-// into it, but it is never reported.
-func (a *Array) submitSpans(at float64, req device.Request, seq int) error {
-	a.joins = append(a.joins, join{res: device.Result{Req: req, Issue: at, CacheHit: true}, seq: seq})
-	ji := len(a.joins) - 1
+// submitSpans fans join ji's request out as merged per-child spans in
+// split order: a non-parity array queues a span lazily on a child that
+// is a *sched.Queue, and any other child serves its span now, so a
+// healthy parity read fans out exactly like RAID-0 over the same
+// layout. A span the child rejects fails the request; spans already
+// queued still fold into the join, which is never reported.
+func (a *Array) submitSpans(at float64, req device.Request, ji int) error {
 	j := &a.joins[ji]
-	for _, s := range a.split(req) {
+	spans := a.split(req)
+	j.spans = len(spans)
+	for i, s := range spans {
+		a.spans = append(a.spans, spanSlot{ji: ji})
 		sub := device.Request{LBN: s.lbn, Sectors: s.sectors, Write: req.Write, FUA: req.FUA}
-		q, ok := a.children[s.child].(*sched.Queue)
-		if !ok {
-			r, err := a.childOp(at, s.child, sub)
+		if q, ok := a.children[s.child].(*sched.Queue); ok && !a.parity {
+			cseq, err := q.Submit(at, sub)
 			if err != nil {
-				j.failed = true
-				return err
+				return &device.Error{Op: fmt.Sprintf("striped child %d", s.child), Req: sub, Err: err}
 			}
-			accumulate(&j.res, &j.started, r)
+			l := &a.lanes[s.child]
+			if len(l.slots) == 0 {
+				l.base = cseq
+			}
+			l.slots = append(l.slots, j.span0+i)
+			j.remaining++
+			a.lazy++
 			continue
 		}
-		cseq, err := q.Submit(at, sub)
+		r, err := a.childOp(at, s.child, sub)
 		if err != nil {
-			j.failed = true
-			return fmt.Errorf("striped: child %d: %w", s.child, err)
+			if a.parity && a.absorb(err, s.child) {
+				// The child just failed under a healthy parity read:
+				// re-walk the whole request unit by unit, reconstructing
+				// what the failed child cannot serve. Spans already
+				// served stand — the retry is a fresh pass over the same
+				// addresses.
+				j.spans = 0
+				return a.serveParity(at, req, &j.res)
+			}
+			return err
 		}
-		if a.routes[s.child] == nil {
-			a.routes[s.child] = make(map[int]int)
-		}
-		a.routes[s.child][cseq] = ji
-		j.remaining++
+		a.spans[j.span0+i].bus = r.BusTime
+		accumulate(&j.res, &j.started, r)
 	}
 	return nil
+}
+
+// finish completes a join: merged spans' BusTime is re-summed from the
+// slots in split order, and the array clock moves to its completion.
+func (a *Array) finish(j *join) {
+	if j.spans > 1 {
+		bus := a.spans[j.span0].bus
+		for _, s := range a.spans[j.span0+1 : j.span0+j.spans] {
+			bus += s.bus
+		}
+		j.res.BusTime = bus
+	}
+	a.lastDone = max(a.lastDone, j.res.Done)
+}
+
+// settle flushes each child holding lazily queued spans, in index
+// order, and folds the completions into their joins; it does nothing
+// when no span was queued lazily. Spindles share no state and finish
+// sums bus time in split order, so the fold order changes no result.
+// A failed settle abandons the batch.
+func (a *Array) settle() error {
+	if a.lazy == 0 {
+		return nil
+	}
+	a.lazy = 0
+	var err error
+	for c := range a.lanes {
+		l := &a.lanes[c]
+		if len(l.slots) > 0 && err == nil {
+			if qerr := a.children[c].(*sched.Queue).DrainEach(func(seq int, r *device.Result) {
+				i := seq - l.base
+				if i < 0 || i >= len(l.slots) || l.slots[i] < 0 {
+					err = cmp.Or(err, fmt.Errorf("striped: child %d completion %d has no owner", c, seq))
+					return
+				}
+				k := l.slots[i]
+				l.slots[i] = -1
+				a.spans[k].bus = r.BusTime
+				j := &a.joins[a.spans[k].ji]
+				accumulate(&j.res, &j.started, r)
+				if j.remaining--; j.remaining == 0 && !j.failed {
+					a.finish(j)
+				}
+			}); qerr != nil {
+				err = fmt.Errorf("striped: child %d: %w", c, qerr)
+			}
+		}
+		l.slots = l.slots[:0]
+	}
+	for i := range a.joins {
+		if j := &a.joins[i]; err == nil && j.remaining != 0 {
+			err = fmt.Errorf("striped: request %d still missing %d spans after drain", i, j.remaining)
+		}
+	}
+	if err != nil {
+		a.joins, a.spans = a.joins[:0], a.spans[:0]
+	}
+	return err
 }
 
 // Outstanding returns the number of submitted array requests awaiting
 // DrainEach.
 func (a *Array) Outstanding() int { return len(a.joins) }
 
-// DrainEach commits every outstanding child dispatch, joins the span
-// completions back into their array requests, and calls fn for each
-// assembled result in submission order. Each queued child flushes its
-// own decisions, child by child in index order: the spindles share no
-// state, so one child's commits cannot move another's, and folding
-// child-major makes the joined results independent of any
-// interleaving across spindles.
+// DrainEach settles the batch and calls fn for each assembled result
+// in submission order.
 func (a *Array) DrainEach(fn func(seq int, r *device.Result)) error {
-	var foldErr error
-	for c, child := range a.children {
-		q, ok := child.(*sched.Queue)
-		if !ok {
-			continue
-		}
-		cr := a.routes[c]
-		if err := q.DrainEach(func(seq int, r *device.Result) {
-			ji, ok := cr[seq]
-			if !ok {
-				if foldErr == nil {
-					foldErr = fmt.Errorf("striped: child %d completion %d has no owner", c, seq)
-				}
-				return
-			}
-			delete(cr, seq)
-			j := &a.joins[ji]
-			accumulate(&j.res, &j.started, r)
-			j.remaining--
-		}); err != nil {
-			return fmt.Errorf("striped: child %d: %w", c, err)
-		}
-		if foldErr != nil {
-			return foldErr
-		}
+	if err := a.settle(); err != nil {
+		return err
 	}
 	for i := range a.joins {
-		j := &a.joins[i]
-		if j.remaining != 0 {
-			return fmt.Errorf("striped: request %d still missing %d spans after drain", i, j.remaining)
-		}
-		if !j.failed {
-			a.lastDone = max(a.lastDone, j.res.Done)
+		if j := &a.joins[i]; !j.failed {
 			fn(j.seq, &j.res)
 		}
 	}
-	a.joins = a.joins[:0]
+	a.joins, a.spans = a.joins[:0], a.spans[:0]
 	return nil
 }
 
@@ -908,24 +899,15 @@ func (a *Array) ScrubStripe(at float64, s int) (float64, int, error) {
 		case errors.Is(err, device.ErrMedium):
 			res := device.Result{Req: rd, Issue: at}
 			started := false
-			if err := a.reconstruct(at, s, 0, n, c, &res, &started); err != nil {
+			if err := a.repair(at, s, 0, n, c, &res, &started); err != nil {
 				return 0, reads, err
 			}
-			w := device.Request{LBN: rd.LBN, Sectors: int(n), Write: true}
-			wr, err := a.childOp(at, c, w)
-			if err != nil {
-				return 0, reads, err
-			}
-			a.dstats.Repairs++
-			accumulate(&res, &started, wr)
 			at = res.Done
 		default:
 			return 0, reads, err
 		}
 	}
-	if at > a.lastDone {
-		a.lastDone = at
-	}
+	a.lastDone = max(a.lastDone, at)
 	return at, reads, nil
 }
 

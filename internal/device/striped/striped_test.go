@@ -389,6 +389,45 @@ func TestQueuedChildren(t *testing.T) {
 			t.Fatalf("child %d queue never dispatched", i)
 		}
 	}
+
+	// The same passthrough holds on the batch path: each request sent
+	// through Submit and DrainEach over FCFS queues joins its spans to
+	// exactly the bare Serve result, BusTime included.
+	bdevs, _ := disks(t, 3)
+	bare2, err := striped.New(bdevs)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sdevs, _ := disks(t, 3)
+	batch, err := striped.New(sdevs, striped.WithQueuedChildren())
+	if err != nil {
+		t.Fatalf("New(fcfs-queued): %v", err)
+	}
+	rng = rand.New(rand.NewSource(41))
+	at = 0.0
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(500)
+		req := device.Request{
+			LBN:     rng.Int63n(bare2.Capacity() - int64(n)),
+			Sectors: n,
+			Write:   rng.Intn(4) == 0,
+		}
+		rb, err := bare2.Serve(at, req)
+		if err != nil {
+			t.Fatalf("bare serve %d: %v", i, err)
+		}
+		if _, err := batch.Submit(at, req); err != nil {
+			t.Fatalf("queued submit %d: %v", i, err)
+		}
+		got, err := drainAll(batch)
+		if err != nil {
+			t.Fatalf("queued drain %d: %v", i, err)
+		}
+		if len(got) != 1 || !reflect.DeepEqual(rb, got[0]) {
+			t.Fatalf("request %d diverged on the batch path:\nbare:   %+v\nqueued: %+v", i, rb, got)
+		}
+		at = rb.Done + rng.Float64()
+	}
 }
 
 // TestSubmitDrainMatchesServe: on plain (unqueued) children the
@@ -562,5 +601,18 @@ func TestSubmitRejectedSpanNotReported(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != seq {
 		t.Fatalf("drained seqs %v, want [%d]", got, seq)
+	}
+
+	// Serve is a batch of one and stays a barrier when it fails: the
+	// queued span lands, nothing stays outstanding, and the next
+	// request is served.
+	if _, err := arr.Serve(2, straddle); err == nil {
+		t.Fatal("Serve spanning the lost child succeeded")
+	}
+	if n := arr.Outstanding(); n != 0 {
+		t.Fatalf("%d requests outstanding after a failed Serve", n)
+	}
+	if _, err := arr.Serve(3, healthy); err != nil {
+		t.Fatalf("Serve after a failed Serve: %v", err)
 	}
 }

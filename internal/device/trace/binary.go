@@ -76,6 +76,27 @@ type codecState struct {
 	issBits uint64
 }
 
+// record applies one record body's four varints — zigzag LBN delta,
+// sectors<<1|write, and the XORs of the service and issue bits — to
+// the delta state and writes record idx, checked against capacity,
+// into *rec. DecodeBinary and Reader both decode through it.
+func (st *codecState) record(rec *Record, idx int, capacity int64, dz, sw, svcX, issX uint64) error {
+	if sw>>1 > math.MaxInt32 {
+		return corruptf("record %d: sector count %d", idx, sw>>1)
+	}
+	st.lbn += unzigzag(dz)
+	st.svcBits ^= svcX
+	st.issBits ^= issX
+	*rec = Record{
+		LBN:     st.lbn,
+		Sectors: int(sw >> 1),
+		Write:   sw&1 == 1,
+		Service: math.Float64frombits(st.svcBits),
+		Issue:   math.Float64frombits(st.issBits),
+	}
+	return checkRecord(idx, *rec, capacity)
+}
+
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
@@ -378,42 +399,26 @@ func decodeHeader(d varintSource) (Trace, error) {
 	return tr, nil
 }
 
-// decodeRecordSlice parses one record body against the delta state.
-func decodeRecordSlice(d *sliceDec, st *codecState, idx int, capacity int64) (Record, error) {
-	var rec Record
+// decodeRecordSlice parses one record body against the delta state
+// into *rec.
+func decodeRecordSlice(d *sliceDec, st *codecState, rec *Record, idx int, capacity int64) error {
 	dz, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	sw, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	svcX, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
 	issX, err := d.uvarint()
 	if err != nil {
-		return rec, err
+		return err
 	}
-	if sw>>1 > math.MaxInt32 {
-		return rec, corruptf("record %d: sector count %d", idx, sw>>1)
-	}
-	st.lbn += unzigzag(dz)
-	st.svcBits ^= svcX
-	st.issBits ^= issX
-	rec = Record{
-		LBN:     st.lbn,
-		Sectors: int(sw >> 1),
-		Write:   sw&1 == 1,
-		Service: math.Float64frombits(st.svcBits),
-		Issue:   math.Float64frombits(st.issBits),
-	}
-	if err := checkRecord(idx, rec, capacity); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return st.record(rec, idx, capacity, dz, sw, svcX, issX)
 }
 
 // DecodeBinary parses a whole binary-encoded trace, validating the
@@ -448,11 +453,11 @@ func DecodeBinary(data []byte) (Trace, error) {
 			tr.Records = make([]Record, 0, min(est, 1<<20))
 		}
 		for i := 0; i < int(n); i++ {
-			rec, err := decodeRecordSlice(d, &st, len(tr.Records), tr.Capacity)
-			if err != nil {
+			k := len(tr.Records)
+			tr.Records = append(tr.Records, Record{})
+			if err := decodeRecordSlice(d, &st, &tr.Records[k], k, tr.Capacity); err != nil {
 				return Trace{}, err
 			}
-			tr.Records = append(tr.Records, rec)
 		}
 	}
 	total, err := d.uvarint()
@@ -557,22 +562,7 @@ func (r *Reader) readRecord() (Record, error) {
 		}
 		vals[i] = v
 	}
-	dz, sw, svcX, issX := vals[0], vals[1], vals[2], vals[3]
-	if sw>>1 > math.MaxInt32 {
-		return Record{}, corruptf("record %d: sector count %d", r.idx, sw>>1)
-	}
-	r.st.lbn += unzigzag(dz)
-	r.st.svcBits ^= svcX
-	r.st.issBits ^= issX
-	rec := Record{
-		LBN:     r.st.lbn,
-		Sectors: int(sw >> 1),
-		Write:   sw&1 == 1,
-		Service: math.Float64frombits(r.st.svcBits),
-		Issue:   math.Float64frombits(r.st.issBits),
-	}
-	if err := checkRecord(r.idx, rec, r.header.Capacity); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	var rec Record
+	err := r.st.record(&rec, r.idx, r.header.Capacity, vals[0], vals[1], vals[2], vals[3])
+	return rec, err
 }
