@@ -211,6 +211,7 @@ type Cache struct {
 	routeBase int
 	inflight  int
 	settleFn  func(int, *device.Result)
+	flushRes  device.Result // a synchronous writeback's result
 
 	stats Stats
 }

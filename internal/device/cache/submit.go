@@ -198,12 +198,7 @@ func (c *Cache) forward(at float64, req device.Request, pos int) error {
 // records how to resolve the completion. Errors are the device's own.
 func (c *Cache) forwardAs(at float64, inner device.Request, rt route) error {
 	if c.batch == nil {
-		res, err := c.inner.Serve(at, inner)
-		if err != nil {
-			return err
-		}
-		c.resolve(rt, &res)
-		return nil
+		return c.serveNow(at, inner, rt)
 	}
 	seq, err := c.batch.Submit(at, inner)
 	if err != nil {
@@ -228,11 +223,20 @@ func (c *Cache) innerFlush(at float64, req device.Request) error {
 	if len(c.pend) > 0 {
 		return c.forwardAs(at, req, rt)
 	}
-	res, err := c.inner.Serve(at, req)
-	if err != nil {
+	return c.serveNow(at, req, rt)
+}
+
+// serveNow serves an inner request synchronously, in place: into its
+// batch slot, or into the cache's scratch record for a writeback.
+func (c *Cache) serveNow(at float64, inner device.Request, rt route) error {
+	res := &c.flushRes
+	if rt.kind != routeFlush {
+		res = &c.pend[rt.pos].res
+	}
+	if err := device.ServeInto(c.inner, at, inner, res); err != nil {
 		return err
 	}
-	c.resolve(rt, &res)
+	c.resolve(rt, res)
 	return nil
 }
 
@@ -247,7 +251,9 @@ func (c *Cache) resolve(rt route, res *device.Result) {
 	}
 	s := &c.pend[rt.pos]
 	s.filled = true
-	s.res = *res
+	if res != &s.res {
+		s.res = *res
+	}
 	if rt.kind == routeFill {
 		s.res.Req = rt.req
 	}

@@ -42,7 +42,7 @@ type Result struct {
 }
 
 // Response returns the host-observed response time.
-func (r Result) Response() float64 { return r.Done - r.Issue }
+func (r *Result) Response() float64 { return r.Done - r.Issue }
 
 // Device is a storage device servicing one request at a time in issue
 // order. Implementations simulate (or replay) virtual time: Serve
@@ -83,12 +83,16 @@ type Batch interface {
 }
 
 // InPlace is implemented by devices that can write a result into
-// caller-owned memory. A layer that forwards requests (a queue into
-// its completion slot, an array into its per-child scratch) serves its
-// inner device through ServeInto, so the result is written once where
-// it will be read instead of being returned by value and copied at
-// every layer. A device implementing InPlace derives its Serve from
-// ServeInto.
+// caller-owned memory: sim.Disk, faults.Injector, striped.Array,
+// ftl.FTL, zoned.Flash, zoned.Device, trace.Player and volume.View. A
+// layer that forwards requests (a queue into its completion slot, an
+// array into its per-child scratch, the cache into its batch slot)
+// serves its inner device through ServeInto, so the result is written
+// once where it will be read instead of being returned by value and
+// copied at every layer. A device implementing InPlace derives its
+// Serve from ServeInto. One that builds its result clears *res and
+// then stores the fields: assigning a composite literal through the
+// pointer builds a temporary and copies it.
 type InPlace interface {
 	// ServeInto is Serve writing the result into *res: every field is
 	// overwritten on success. When err is non-nil *res is unspecified

@@ -76,6 +76,8 @@ type FTL struct {
 	lastDone float64
 	bounds   []int64
 	stats    Stats
+	res      device.Result // Serve's result buffer
+	part     device.Result // inner operations after a request's first
 }
 
 // Option configures an FTL.
@@ -97,6 +99,7 @@ func WithReserveBlocks(n int) Option { return func(f *FTL) { f.reserve = int32(n
 
 var (
 	_ device.Device           = (*FTL)(nil)
+	_ device.InPlace          = (*FTL)(nil)
 	_ device.BoundaryProvider = (*FTL)(nil)
 	_ device.Named            = (*FTL)(nil)
 )
@@ -193,19 +196,28 @@ func (f *FTL) putFree(b int32) {
 	f.freeCount++
 }
 
-// mergeOp folds one inner operation into the composite result.
-func mergeOp(out *device.Result, first *bool, res device.Result) {
+// mergeOp serves one inner operation of the composite result *out:
+// the first lands in *out itself, later ones in the FTL's scratch
+// record and fold into *out.
+func (f *FTL) mergeOp(at float64, req device.Request, out *device.Result, first *bool) error {
 	if *first {
-		*out = res
+		if err := device.ServeInto(f.inner, at, req, out); err != nil {
+			return err
+		}
 		*first = false
-		return
+		return nil
 	}
-	out.MediaEnd = res.MediaEnd
-	out.Done = res.Done
-	out.BusTime += res.BusTime
-	out.Prefetched += res.Prefetched
+	r := &f.part
+	if err := device.ServeInto(f.inner, at, req, r); err != nil {
+		return err
+	}
+	out.MediaEnd = r.MediaEnd
+	out.Done = r.Done
+	out.BusTime += r.BusTime
+	out.Prefetched += r.Prefetched
 	out.CacheHit = false
 	out.Timing = mech.Breakdown{}
+	return nil
 }
 
 // Serve services one logical request, remapping it onto physical
@@ -214,25 +226,44 @@ func mergeOp(out *device.Result, first *bool, res device.Result) {
 // device serializes them FCFS) and fold into the returned result —
 // that queueing delay is exactly the GC tail the studies measure.
 func (f *FTL) Serve(at float64, req device.Request) (device.Result, error) {
-	if err := device.CheckRequest(f, req); err != nil {
+	if err := f.ServeInto(at, req, &f.res); err != nil {
 		return device.Result{}, err
 	}
-	if req.Write {
-		return f.serveWrite(at, req)
+	return f.res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace):
+// the request's first inner operation serves straight into *res.
+func (f *FTL) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.CheckRequest(f, req); err != nil {
+		return err
 	}
-	return f.serveRead(at, req)
+	var err error
+	if req.Write {
+		err = f.serveWrite(at, req, res)
+	} else {
+		err = f.serveRead(at, req, res)
+	}
+	if err != nil {
+		return err
+	}
+	res.Req = req
+	res.Issue = at
+	if res.Done > f.lastDone {
+		f.lastDone = res.Done
+	}
+	return nil
 }
 
 // serveRead issues one inner read per physically-contiguous run of
 // logical pages. In-page sector offsets are preserved, so an
 // identity-mapped read is the exact physical request — and a single-
 // run read returns the inner result bit-identically.
-func (f *FTL) serveRead(at float64, req device.Request) (device.Result, error) {
+func (f *FTL) serveRead(at float64, req device.Request, out *device.Result) error {
 	P := f.pageSectors
 	end := req.LBN + int64(req.Sectors)
 	lp := req.LBN / P
 	last := (end - 1) / P
-	var out device.Result
 	first := true
 	runStart := lp
 	runPhys := f.physPage(lp)
@@ -247,12 +278,7 @@ func (f *FTL) serveRead(at float64, req device.Request) (device.Result, error) {
 			hi = end
 		}
 		physLo := int64(runPhys)*P + (lo - runStart*P)
-		res, err := f.inner.Serve(at, device.Request{LBN: physLo, Sectors: int(hi - lo), FUA: req.FUA})
-		if err != nil {
-			return err
-		}
-		mergeOp(&out, &first, res)
-		return nil
+		return f.mergeOp(at, device.Request{LBN: physLo, Sectors: int(hi - lo), FUA: req.FUA}, out, &first)
 	}
 	for p := lp + 1; p <= last; p++ {
 		pp := f.physPage(p)
@@ -261,37 +287,28 @@ func (f *FTL) serveRead(at float64, req device.Request) (device.Result, error) {
 			continue
 		}
 		if err := flush(p - 1); err != nil {
-			return device.Result{}, err
+			return err
 		}
 		runStart, runPhys, prev = p, pp, pp
 	}
-	if err := flush(last); err != nil {
-		return device.Result{}, err
-	}
-	out.Req = req
-	out.Issue = at
-	if out.Done > f.lastDone {
-		f.lastDone = out.Done
-	}
-	return out, nil
+	return flush(last)
 }
 
 // serveWrite allocates physical pages from the open block and programs
 // them. Slots are reserved before the inner write and the mapping
 // commits only on success: a faulted write leaves garbage slots and
 // the old mapping intact.
-func (f *FTL) serveWrite(at float64, req device.Request) (device.Result, error) {
+func (f *FTL) serveWrite(at float64, req device.Request, out *device.Result) error {
 	P := f.pageSectors
 	K := f.blockPages
 	end := req.LBN + int64(req.Sectors)
 	lp := req.LBN / P
 	last := (end - 1) / P
 	cur := req.LBN
-	var out device.Result
 	first := true
 	for lp <= last {
-		if err := f.ensureOpen(at, &out, &first); err != nil {
-			return device.Result{}, err
+		if err := f.ensureOpen(at, out, &first); err != nil {
+			return err
 		}
 		m := int64(K - f.openFill)
 		if rem := last - lp + 1; rem < m {
@@ -308,15 +325,13 @@ func (f *FTL) serveWrite(at float64, req device.Request) (device.Result, error) 
 		// never half-mapped.
 		f.openFill += int32(m)
 		sealAfter := f.openFill == K
-		res, err := f.inner.Serve(at, device.Request{LBN: physLo, Sectors: int(hi - lo), Write: true, FUA: req.FUA})
-		if err != nil {
+		if err := f.mergeOp(at, device.Request{LBN: physLo, Sectors: int(hi - lo), Write: true, FUA: req.FUA}, out, &first); err != nil {
 			if sealAfter {
 				f.state[f.open] = blockSealed
 				f.open = -1
 			}
-			return device.Result{}, err
+			return err
 		}
-		mergeOp(&out, &first, res)
 		for j := int64(0); j < m; j++ {
 			f.commit(lp+j, int32(pp0+j))
 		}
@@ -329,12 +344,7 @@ func (f *FTL) serveWrite(at float64, req device.Request) (device.Result, error) 
 		cur = hi
 		lp += m
 	}
-	out.Req = req
-	out.Issue = at
-	if out.Done > f.lastDone {
-		f.lastDone = out.Done
-	}
-	return out, nil
+	return nil
 }
 
 // commit points a logical page at its new physical page, invalidating
@@ -432,23 +442,19 @@ func (f *FTL) relocate(at float64, v int32, out *device.Result, first *bool) err
 				m = rem
 			}
 			src := (base + int64(j+off)) * P
-			rd, err := f.inner.Serve(at, device.Request{LBN: src, Sectors: int(int64(m) * P)})
-			if err != nil {
+			if err := f.mergeOp(at, device.Request{LBN: src, Sectors: int(int64(m) * P)}, out, first); err != nil {
 				return err
 			}
-			mergeOp(out, first, rd)
 			dst0 := int64(f.gcOpen)*int64(K) + int64(f.gcFill)
 			f.gcFill += m // reserve before the write: a fault leaves garbage, not a half-map
 			sealAfter := f.gcFill == K
-			wr, err := f.inner.Serve(at, device.Request{LBN: dst0 * P, Sectors: int(int64(m) * P), Write: true})
-			if err != nil {
+			if err := f.mergeOp(at, device.Request{LBN: dst0 * P, Sectors: int(int64(m) * P), Write: true}, out, first); err != nil {
 				if sealAfter {
 					f.state[f.gcOpen] = blockSealed
 					f.gcOpen = -1
 				}
 				return err
 			}
-			mergeOp(out, first, wr)
 			for i := int32(0); i < m; i++ {
 				lp := f.p2l[base+int64(j+off+i)]
 				f.commit(int64(lp), int32(dst0+int64(i)))
@@ -496,6 +502,9 @@ func (f *FTL) erase(at float64, v int32, out *device.Result, first *bool) error 
 		return err
 	}
 	if *first {
+		// The erase opens the composite: nothing of *out (a reused
+		// caller slot) may survive into it.
+		*out = device.Result{}
 		out.Issue = at
 		out.Start = at
 		*first = false

@@ -4,12 +4,17 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"traxtents/internal/device"
 	"traxtents/internal/device/faults"
+	"traxtents/internal/device/ftl"
 	"traxtents/internal/device/striped"
+	"traxtents/internal/device/trace"
+	"traxtents/internal/device/zoned"
 	"traxtents/internal/disk/mech"
+	"traxtents/internal/volume"
 )
 
 // newFaulty wraps a simulated disk in an injector with latent medium
@@ -41,6 +46,51 @@ func newFaultyParity(t testing.TB) *striped.Array {
 	return a
 }
 
+// newFlash builds a bare flash device of 64 Ki sectors.
+func newFlash(t testing.TB) *zoned.Flash {
+	t.Helper()
+	f, err := zoned.NewFlash(64 * 1024)
+	if err != nil {
+		t.Fatalf("NewFlash: %v", err)
+	}
+	return f
+}
+
+// newSmallFTL builds an FTL over a 16384-sector flash of 256-sector
+// erase blocks: small enough that a seeded stream's writes overrun the
+// free pool and run garbage collection, fully-dead victims included.
+func newSmallFTL(t testing.TB) *ftl.FTL {
+	t.Helper()
+	f, err := zoned.NewFlash(16*1024, zoned.WithEraseSectors(256))
+	if err != nil {
+		t.Fatalf("NewFlash: %v", err)
+	}
+	l, err := ftl.New(f)
+	if err != nil {
+		t.Fatalf("ftl.New: %v", err)
+	}
+	return l
+}
+
+// newVolumeView builds a fair-tier volume manager over two simulated
+// disks and returns the device view of one tenant spanning both.
+func newVolumeView(t testing.TB) *volume.View {
+	t.Helper()
+	m, err := volume.New([]device.Device{newSim(t, 3), newSim(t, 4)},
+		volume.WithTier("fair"), volume.WithTierDepth(4))
+	if err != nil {
+		t.Fatalf("volume.New: %v", err)
+	}
+	if _, err := m.AddVolume("t0", newSim(t, 3).Capacity()); err != nil {
+		t.Fatalf("AddVolume: %v", err)
+	}
+	v, err := m.View("t0")
+	if err != nil {
+		t.Fatalf("View: %v", err)
+	}
+	return v
+}
+
 // poison is a Result no device produces: every field that ServeInto
 // fails to overwrite shows up in the comparison.
 var poison = device.Result{
@@ -58,7 +108,11 @@ var poison = device.Result{
 // poisoned result — and requires identical results and identical
 // errors on every request. The stream mixes reads, writes, and FUA
 // with rejected requests: LBNs past the end, issue times before the
-// previous one, and the injected faults of the faulty backends.
+// previous one, and the injected faults of the faulty backends. On a
+// zoned device every other write is aimed at its zone's write pointer,
+// so writes are accepted as well as refused, and the stream must cross
+// zone boundaries; the FTL's must run garbage collection, and the
+// player's must miss its trace.
 func TestServeIntoMatchesServe(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -73,6 +127,11 @@ func TestServeIntoMatchesServe(t *testing.T) {
 		{"parity", func(t *testing.T) device.Device { return newParity(t, false) }, false, false},
 		{"parity-degraded", func(t *testing.T) device.Device { return newParity(t, true) }, false, false},
 		{"parity-faults", func(t *testing.T) device.Device { return newFaultyParity(t) }, false, true},
+		{"flash", func(t *testing.T) device.Device { return newFlash(t) }, false, false},
+		{"zoned", func(t *testing.T) device.Device { return newZonedFlash(t, 256, 0) }, false, false},
+		{"ftl", func(t *testing.T) device.Device { return newSmallFTL(t) }, false, false},
+		{"player", func(t *testing.T) device.Device { return newPlayer(t) }, false, false},
+		{"volume-view", func(t *testing.T) device.Device { return newVolumeView(t) }, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,7 +141,13 @@ func TestServeIntoMatchesServe(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(17))
 			capacity := a.Capacity()
-			var invalid, regressed, injected, served int
+			zs, zonedDev := device.ZonedOf(a)
+			var bounds []int64
+			if zonedDev {
+				bounds = zs.ZoneBoundaries()
+			}
+			zoneOf := func(lbn int64) int { return sort.Search(len(bounds), func(k int) bool { return bounds[k] > lbn }) - 1 }
+			var invalid, regressed, injected, served, violations, crossed int
 			at, last := 0.0, 0.0 // next issue time, previous one
 			for i := 0; i < 1500; i++ {
 				sectors := 1 + rng.Intn(256)
@@ -91,6 +156,12 @@ func TestServeIntoMatchesServe(t *testing.T) {
 					Sectors: sectors,
 					Write:   rng.Intn(4) == 0,
 					FUA:     rng.Intn(16) == 0,
+				}
+				if zonedDev && req.Write && i%2 == 0 {
+					zi := zoneOf(req.LBN)
+					if wp := zs.WritePointer(zi); wp < bounds[zi+1] {
+						req.LBN, req.Sectors = wp, int(min(int64(sectors), bounds[zi+1]-wp))
+					}
 				}
 				issue := at
 				switch {
@@ -112,12 +183,17 @@ func TestServeIntoMatchesServe(t *testing.T) {
 						t.Fatalf("request %d %+v at %g:\nServeInto %+v\nServe     %+v", i, req, issue, got, want)
 					}
 					served++
+					if zonedDev && !req.Write && req.LBN+int64(req.Sectors) > bounds[zoneOf(req.LBN)+1] {
+						crossed++
+					}
 					at = max(at, issue) + rng.Float64()*(want.Done-issue)
 				case errors.Is(errA, device.ErrInvalidRequest):
 					invalid++
 				case errors.Is(errA, device.ErrMedium) || errors.Is(errA, device.ErrTimeout) || errors.Is(errA, device.ErrLost):
 					injected++
 					at += rng.Float64() * 5
+				case errors.Is(errA, device.ErrZoneViolation):
+					violations++
 				default:
 					regressed++
 				}
@@ -128,13 +204,30 @@ func TestServeIntoMatchesServe(t *testing.T) {
 			if invalid == 0 || served < 500 || (tc.faults && injected < 100) {
 				t.Fatalf("stream too tame: %d served, %d invalid, %d regressed, %d injected", served, invalid, regressed, injected)
 			}
-			if arr, ok := a.(*striped.Array); ok {
-				sa, sb := arr.DegradedStats(), b.(*striped.Array).DegradedStats()
+			if zonedDev && (violations < 100 || crossed < 100) {
+				t.Fatalf("stream too tame for the zones: %d zone violations, %d multi-zone reads", violations, crossed)
+			}
+			switch a := a.(type) {
+			case *striped.Array:
+				sa, sb := a.DegradedStats(), b.(*striped.Array).DegradedStats()
 				if sa != sb {
 					t.Fatalf("degraded stats diverged: Serve twin %+v, ServeInto twin %+v", sa, sb)
 				}
 				if tc.absorbs && (sa.Retries == 0 || sa.Repairs == 0) {
 					t.Fatalf("stream too tame for the array: %+v", sa)
+				}
+			case *ftl.FTL:
+				sa, sb := a.Stats(), b.(*ftl.FTL).Stats()
+				if sa != sb {
+					t.Fatalf("FTL stats diverged: Serve twin %+v, ServeInto twin %+v", sa, sb)
+				}
+				if sa.GCRuns == 0 {
+					t.Fatalf("stream too tame for the FTL: %+v", sa)
+				}
+			case *trace.Player:
+				ma, mb := a.Misses(), b.(*trace.Player).Misses()
+				if ma != mb || ma == 0 {
+					t.Fatalf("player misses: Serve twin %d, ServeInto twin %d, want equal and > 0", ma, mb)
 				}
 			}
 		})
@@ -176,5 +269,33 @@ func TestServeIntoZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(400, serve); allocs != 0 {
 		t.Fatalf("steady-state ServeInto allocates %.2f per request, want 0", allocs)
+	}
+}
+
+// TestFTLServeIntoZeroAlloc: serving in place through an FTL over
+// flash allocates nothing per request in steady state, across the
+// garbage-collection runs its overwrites trigger.
+func TestFTLServeIntoZeroAlloc(t *testing.T) {
+	f := newSmallFTL(t)
+	var res device.Result
+	at := 0.0
+	i := 0
+	serve := func() {
+		req := device.Request{LBN: int64(i*37*64) % f.Capacity(), Sectors: 64, Write: i%4 != 0}
+		if err := device.ServeInto(f, at, req, &res); err != nil {
+			t.Fatalf("ServeInto: %v", err)
+		}
+		at = res.Done
+		i++
+	}
+	for range 64 {
+		serve()
+	}
+	gc := f.Stats().GCRuns
+	if allocs := testing.AllocsPerRun(400, serve); allocs != 0 {
+		t.Fatalf("steady-state FTL ServeInto allocates %.2f per request, want 0", allocs)
+	}
+	if f.Stats().GCRuns == gc {
+		t.Fatalf("no garbage collection while measuring: %+v", f.Stats())
 	}
 }

@@ -262,6 +262,7 @@ func Strict() Option { return func(p *Player) { p.strict = true } }
 
 var (
 	_ device.Device           = (*Player)(nil)
+	_ device.InPlace          = (*Player)(nil)
 	_ device.Rotational       = (*Player)(nil)
 	_ device.BoundaryProvider = (*Player)(nil)
 	_ device.Named            = (*Player)(nil)
@@ -383,14 +384,23 @@ func (p *Player) match(req device.Request) (float64, bool) {
 
 // Serve replays one request.
 func (p *Player) Serve(at float64, req device.Request) (device.Result, error) {
-	if err := device.CheckRequest(p, req); err != nil {
+	var res device.Result
+	if err := p.ServeInto(at, req, &res); err != nil {
 		return device.Result{}, err
+	}
+	return res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace).
+func (p *Player) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.CheckRequest(p, req); err != nil {
+		return err
 	}
 	svc, ok := p.match(req)
 	if !ok {
 		p.misses++
 		if p.strict {
-			return device.Result{}, &device.Error{Op: "trace replay", Req: req, Err: ErrNoRecord}
+			return &device.Error{Op: "trace replay", Req: req, Err: ErrNoRecord}
 		}
 		svc = p.mean
 	}
@@ -403,9 +413,13 @@ func (p *Player) Serve(at float64, req device.Request) (device.Result, error) {
 	if done > p.lastDone {
 		p.lastDone = done
 	}
-	return device.Result{
-		Req: req, Issue: at, Start: start, MediaEnd: done, Done: done,
-	}, nil
+	*res = device.Result{}
+	res.Req = req
+	res.Issue = at
+	res.Start = start
+	res.MediaEnd = done
+	res.Done = done
+	return nil
 }
 
 // Reset restores every trace record for consumption again, so one

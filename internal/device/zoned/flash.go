@@ -56,6 +56,7 @@ func WithFlashTiming(cmd, read, program, erase, xferPerSector float64) FlashOpti
 
 var (
 	_ device.Device           = (*Flash)(nil)
+	_ device.InPlace          = (*Flash)(nil)
 	_ device.BoundaryProvider = (*Flash)(nil)
 	_ device.Named            = (*Flash)(nil)
 )
@@ -101,8 +102,17 @@ func NewFlash(capacity int64, opts ...FlashOption) (*Flash, error) {
 // Serve services one request: FCFS behind the device's prior
 // commitments, cmd + latency + transfer.
 func (f *Flash) Serve(at float64, req device.Request) (device.Result, error) {
-	if err := device.CheckRequest(f, req); err != nil {
+	var res device.Result
+	if err := f.ServeInto(at, req, &res); err != nil {
 		return device.Result{}, err
+	}
+	return res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace).
+func (f *Flash) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.CheckRequest(f, req); err != nil {
+		return err
 	}
 	lat := f.readMs
 	if req.Write {
@@ -117,10 +127,14 @@ func (f *Flash) Serve(at float64, req device.Request) (device.Result, error) {
 	if done > f.lastDone {
 		f.lastDone = done
 	}
-	return device.Result{
-		Req: req, Issue: at, Start: start, MediaEnd: done, Done: done,
-		BusTime: float64(req.Sectors) * f.xferMs,
-	}, nil
+	*res = device.Result{}
+	res.Req = req
+	res.Issue = at
+	res.Start = start
+	res.MediaEnd = done
+	res.Done = done
+	res.BusTime = float64(req.Sectors) * f.xferMs
+	return nil
 }
 
 // EraseAt erases exactly one erase block (lbn must be block-aligned and

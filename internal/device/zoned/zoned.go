@@ -37,8 +37,10 @@ type Device struct {
 	maxOpen int
 	resetMs float64
 
-	selfDone float64 // completions (resets) not visible to the inner device
-	memo     int     // last zone hit, for O(1) sequential zoneOf
+	selfDone float64       // completions (resets) not visible to the inner device
+	memo     int           // last zone hit, for O(1) sequential zoneOf
+	res      device.Result // Serve's and Append's result buffer
+	part     device.Result // later parts of a multi-zone read
 
 	// construction-time knobs consumed by New
 	zoneSectors int64
@@ -66,6 +68,7 @@ func WithResetMs(ms float64) Option { return func(z *Device) { z.resetMs = ms } 
 
 var (
 	_ device.Device           = (*Device)(nil)
+	_ device.InPlace          = (*Device)(nil)
 	_ device.Zoned            = (*Device)(nil)
 	_ device.BoundaryProvider = (*Device)(nil)
 	_ device.Named            = (*Device)(nil)
@@ -122,31 +125,39 @@ func (z *Device) zoneOf(lbn int64) int {
 // Serve services one request. Writes are validated against the zone
 // protocol; reads crossing a zone boundary are split per zone.
 func (z *Device) Serve(at float64, req device.Request) (device.Result, error) {
-	if err := device.CheckRequest(z, req); err != nil {
+	if err := z.ServeInto(at, req, &z.res); err != nil {
 		return device.Result{}, err
 	}
-	if req.Write {
-		return z.serveWrite(at, req)
+	return z.res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace):
+// the inner device serves in place when it can.
+func (z *Device) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.CheckRequest(z, req); err != nil {
+		return err
 	}
-	return z.serveRead(at, req)
+	if req.Write {
+		return z.serveWrite(at, req, res)
+	}
+	return z.serveRead(at, req, res)
 }
 
 // serveWrite enforces the zone protocol, then forwards. The write
 // pointer moves only after the inner device succeeds, so an inner
 // fault (under a fault injector) leaves the zone state unchanged.
-func (z *Device) serveWrite(at float64, req device.Request) (device.Result, error) {
+func (z *Device) serveWrite(at float64, req device.Request, res *device.Result) error {
 	zi := z.zoneOf(req.LBN)
 	end := req.LBN + int64(req.Sectors)
 	if req.LBN != z.wp[zi] || end > z.bounds[zi+1] {
-		return device.Result{}, &device.Error{Op: "zoned", Req: req, Err: device.ErrZoneViolation}
+		return &device.Error{Op: "zoned", Req: req, Err: device.ErrZoneViolation}
 	}
 	opening := z.wp[zi] == z.bounds[zi]
 	if opening && z.maxOpen > 0 && z.active >= z.maxOpen {
-		return device.Result{}, &device.Error{Op: "zoned", Req: req, Err: device.ErrZoneViolation}
+		return &device.Error{Op: "zoned", Req: req, Err: device.ErrZoneViolation}
 	}
-	res, err := z.inner.Serve(at, req)
-	if err != nil {
-		return device.Result{}, err
+	if err := device.ServeInto(z.inner, at, req, res); err != nil {
+		return err
 	}
 	z.wp[zi] = end
 	if opening {
@@ -155,49 +166,47 @@ func (z *Device) serveWrite(at float64, req device.Request) (device.Result, erro
 	if end == z.bounds[zi+1] {
 		z.active--
 	}
-	return res, nil
+	return nil
 }
 
 // serveRead forwards in-zone reads unchanged and splits multi-zone
 // reads into one inner command per zone, all issued at the same host
-// time (the inner device serializes them FCFS). The merged result
-// spans the first command's start to the last command's completion;
-// the per-phase Timing breakdown is zeroed, as for any composite.
-func (z *Device) serveRead(at float64, req device.Request) (device.Result, error) {
+// time (the inner device serializes them FCFS). The first command's
+// result lands in *res and later ones in the device's scratch record:
+// the merged result spans the first command's start to the last
+// command's completion, and the per-phase Timing breakdown is zeroed,
+// as for any composite.
+func (z *Device) serveRead(at float64, req device.Request, res *device.Result) error {
 	zi := z.zoneOf(req.LBN)
 	end := req.LBN + int64(req.Sectors)
 	if end <= z.bounds[zi+1] {
-		return z.inner.Serve(at, req)
+		return device.ServeInto(z.inner, at, req, res)
 	}
 	lbn := req.LBN
-	var out device.Result
-	first := true
+	pr := res
 	for lbn < end {
 		zi = z.zoneOf(lbn)
 		hi := z.bounds[zi+1]
 		if end < hi {
 			hi = end
 		}
-		pr, err := z.inner.Serve(at, device.Request{LBN: lbn, Sectors: int(hi - lbn), FUA: req.FUA})
-		if err != nil {
-			return device.Result{}, err
+		if err := device.ServeInto(z.inner, at, device.Request{LBN: lbn, Sectors: int(hi - lbn), FUA: req.FUA}, pr); err != nil {
+			return err
 		}
-		if first {
-			out = pr
-			first = false
-		} else {
-			out.MediaEnd = pr.MediaEnd
-			out.Done = pr.Done
-			out.BusTime += pr.BusTime
-			out.Prefetched += pr.Prefetched
-			out.CacheHit = out.CacheHit && pr.CacheHit
-			out.Timing = mech.Breakdown{}
+		if pr != res {
+			res.MediaEnd = pr.MediaEnd
+			res.Done = pr.Done
+			res.BusTime += pr.BusTime
+			res.Prefetched += pr.Prefetched
+			res.CacheHit = res.CacheHit && pr.CacheHit
+			res.Timing = mech.Breakdown{}
 		}
+		pr = &z.part
 		lbn = hi
 	}
-	out.Req = req
-	out.Issue = at
-	return out, nil
+	res.Req = req
+	res.Issue = at
+	return nil
 }
 
 // Append writes sectors at the zone's current write pointer, returning
@@ -223,7 +232,10 @@ func (z *Device) Append(at float64, zone, sectors int) (device.Result, error) {
 	if z.wp[zone]+int64(sectors) > z.bounds[zone+1] {
 		return device.Result{}, &device.Error{Op: "zoned append", Req: req, Err: device.ErrZoneViolation}
 	}
-	return z.serveWrite(at, req)
+	if err := z.serveWrite(at, req, &z.res); err != nil {
+		return device.Result{}, err
+	}
+	return z.res, nil
 }
 
 // ResetZoneAt rewinds the zone's write pointer to the zone start,

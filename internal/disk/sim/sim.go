@@ -164,7 +164,8 @@ func (d *Disk) ServeInto(issue float64, req Request, res *Result) error {
 	if err := device.CheckRequest(d, req); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	*res = Result{Req: req, Issue: issue}
+	*res = Result{}
+	res.Req, res.Issue = req, issue
 	d.stats.Requests++
 	if req.Write {
 		d.stats.SectorsIn += int64(req.Sectors)

@@ -20,6 +20,7 @@ type View struct {
 
 var (
 	_ device.Device           = (*View)(nil)
+	_ device.InPlace          = (*View)(nil)
 	_ device.Rotational       = (*View)(nil)
 	_ device.BoundaryProvider = (*View)(nil)
 	_ device.Named            = (*View)(nil)
@@ -37,6 +38,11 @@ func (m *Manager) View(name string) (*View, error) {
 // Serve services one request against the volume's LBN space.
 func (w *View) Serve(at float64, req device.Request) (device.Result, error) {
 	return w.m.ServeTenant(w.v.name, at, req)
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace).
+func (w *View) ServeInto(at float64, req device.Request, res *device.Result) error {
+	return w.m.serveInto(w.v.name, at, req, res)
 }
 
 // Now returns the completion time of the tenant's last finished

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"traxtents/internal/device"
@@ -394,11 +395,14 @@ type Manager struct {
 	foldErr error
 	foldFn  func(*sched.Completion)
 
-	// Aggregate accounting across tenants; last is the most recently
-	// accounted result (what ServeTenant returns). feed carries every
+	// dst, set only while a batch of one drains, receives that
+	// request's result; res is ServeTenant's buffer for it.
+	dst *device.Result
+	res device.Result
+
+	// Aggregate accounting across tenants. feed carries every
 	// completion's response time to its tenant's tails and the
 	// aggregate's; the snapshots Sync it before reading them.
-	last    device.Result
 	served  int
 	sumResp float64
 	maxResp float64
@@ -741,8 +745,13 @@ func (m *Manager) route(v *Volume, issue, release float64, req device.Request) e
 	ji := len(m.joins)
 	spans := m.split(v, req)
 	span0 := len(m.spans)
-	m.joins = append(m.joins, join{vol: v, res: device.Result{Req: req, Issue: issue},
-		span0: span0, spans: len(spans), remaining: len(spans)})
+	// Fill the join in place; its first span's completion overwrites
+	// every other field of res.
+	m.joins = slices.Grow(m.joins, 1)[:ji+1]
+	j := &m.joins[ji]
+	j.vol, j.res.Req, j.res.Issue = v, req, issue
+	j.span0, j.spans, j.remaining = span0, len(spans), len(spans)
+	j.started, j.failed = false, false
 	for range spans {
 		m.spans = append(m.spans, spanSlot{ji: ji})
 	}
@@ -752,7 +761,6 @@ func (m *Manager) route(v *Volume, issue, release float64, req device.Request) e
 		// which may dispatch earlier requests and advance it.
 		start := math.Max(sp.sh.vtime, v.lastFinish[sp.sh.idx])
 		if _, err := sp.sh.tier.Submit(release, sub); err != nil {
-			j := &m.joins[ji]
 			j.failed = true
 			j.remaining -= len(spans) - si // this span and the rest never complete
 			v.unresolved--
@@ -877,7 +885,9 @@ func accumulate(dst *device.Result, started *bool, r *device.Result) {
 // account records one reassembled completion against its tenant and
 // the aggregate.
 func (m *Manager) account(v *Volume, res *device.Result) {
-	m.last = *res
+	if m.dst != nil {
+		*m.dst = *res
+	}
 	resp := res.Response()
 	v.served++
 	v.sumResp += resp
@@ -943,18 +953,27 @@ func (m *Manager) Drain() error {
 // device view) use it; concurrent workloads should Submit and Drain.
 // The steady-state path does not allocate.
 func (m *Manager) ServeTenant(name string, at float64, req device.Request) (device.Result, error) {
+	if err := m.serveInto(name, at, req, &m.res); err != nil {
+		return device.Result{}, err
+	}
+	return m.res, nil
+}
+
+// serveInto is ServeTenant writing the result into *res: account
+// writes it there as the request's join completes.
+func (m *Manager) serveInto(name string, at float64, req device.Request, res *device.Result) error {
 	if len(m.held) > 0 || len(m.joins) > 0 {
 		if err := m.Drain(); err != nil {
-			return device.Result{}, err
+			return err
 		}
 	}
 	if err := m.Submit(name, at, req); err != nil {
-		return device.Result{}, err
+		return err
 	}
-	if err := m.Drain(); err != nil {
-		return device.Result{}, err
-	}
-	return m.last, nil
+	m.dst = res
+	err := m.Drain()
+	m.dst = nil
+	return err
 }
 
 // VolumeStats is one tenant's accounting snapshot (or the cross-tenant

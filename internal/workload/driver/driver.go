@@ -344,11 +344,12 @@ func summarize(cs []sched.Completion, want int) (Metrics, error) {
 	}
 	resp := make([]float64, len(cs))
 	var makespan, sumResp float64
-	for i, c := range cs {
-		resp[i] = c.Res.Response()
+	for i := range cs {
+		r := &cs[i].Res
+		resp[i] = r.Response()
 		sumResp += resp[i]
-		if c.Res.Done > makespan {
-			makespan = c.Res.Done
+		if r.Done > makespan {
+			makespan = r.Done
 		}
 	}
 	m := Metrics{
