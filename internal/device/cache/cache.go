@@ -201,17 +201,15 @@ type Cache struct {
 	err       error   // sticky inner failure
 
 	// Submit/Drain batch state (submit.go): pend holds the outstanding
-	// requests' slots, the last numbered nextSeq-1; routes[i] is the
-	// cache-level meaning of inner sequence number routeBase+i, and
-	// inflight counts those not yet resolved. settleFn is the prebound
-	// inner DrainEach fold, so repeated drains allocate nothing.
-	pend      []slot
-	nextSeq   int
-	routes    []route
-	routeBase int
-	inflight  int
-	settleFn  func(int, *device.Result)
-	flushRes  device.Result // a synchronous writeback's result
+	// requests' slots, the last numbered nextSeq-1; routes maps the
+	// inner sequence numbers of the batch to their cache-level meaning.
+	// settleFn is the prebound inner DrainEach fold, so repeated drains
+	// allocate nothing.
+	pend     []slot
+	nextSeq  int
+	routes   device.Routes[route]
+	settleFn func(int, *device.Result)
+	flushRes device.Result // a synchronous writeback's result
 
 	stats Stats
 }

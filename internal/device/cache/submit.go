@@ -6,7 +6,8 @@
 // device.Batch — a queue's scheduler, or an array's queued children,
 // must see them together to reorder them — and are served
 // synchronously otherwise; DrainEach drains the wrapped device and
-// reports every result in submission order.
+// reports every result in submission order, routing inner completions
+// back through a device.Routes, the array's and volume's ledger too.
 //
 // Line state therefore never depends on inner timing — only the
 // *timing* of fills and forwards resolves at drain — which keeps the
@@ -39,7 +40,6 @@ const (
 	routeForward routeKind = iota // bypass / FUA / unexpanded miss
 	routeFill                     // line fill: report as the demand request
 	routeFlush                    // dirty writeback: timing only
-	routeDone                     // resolved, or a number this batch never used
 )
 
 // route maps one inner submission back to its cache-level meaning.
@@ -204,14 +204,7 @@ func (c *Cache) forwardAs(at float64, inner device.Request, rt route) error {
 	if err != nil {
 		return err
 	}
-	if len(c.routes) == 0 {
-		c.routeBase = seq
-	}
-	for c.routeBase+len(c.routes) < seq {
-		c.routes = append(c.routes, route{kind: routeDone})
-	}
-	c.routes = append(c.routes, rt)
-	c.inflight++
+	c.routes.Add(seq, rt)
 	return nil
 }
 
@@ -294,7 +287,7 @@ func (c *Cache) resolveAll() error {
 	if c.err != nil {
 		return c.err
 	}
-	if c.inflight > 0 {
+	if c.routes.Live() > 0 {
 		if err := c.batch.DrainEach(c.settleFn); err != nil {
 			c.err = fmt.Errorf("cache: drain: %w", err)
 			return c.err
@@ -302,12 +295,12 @@ func (c *Cache) resolveAll() error {
 		if c.err != nil {
 			return c.err
 		}
-		if c.inflight > 0 {
-			c.err = fmt.Errorf("cache: %d inner submissions unresolved after drain", c.inflight)
+		if n := c.routes.Live(); n > 0 {
+			c.err = fmt.Errorf("cache: %d inner submissions unresolved after drain", n)
 			return c.err
 		}
 	}
-	c.routes = c.routes[:0]
+	c.routes.Reset()
 	for i := range c.pend {
 		if !c.pend[i].filled {
 			c.err = fmt.Errorf("cache: submitted request %d has no completion", i)
@@ -323,13 +316,10 @@ func (c *Cache) settle(seq int, r *device.Result) {
 	if c.err != nil {
 		return
 	}
-	i := seq - c.routeBase
-	if i < 0 || i >= len(c.routes) || c.routes[i].kind == routeDone {
-		c.err = fmt.Errorf("cache: inner completion %d has no owner", seq)
+	rt, err := c.routes.Take(seq)
+	if err != nil {
+		c.err = fmt.Errorf("cache: inner completion %d %w", seq, err)
 		return
 	}
-	rt := c.routes[i]
-	c.routes[i].kind = routeDone
-	c.inflight--
-	c.resolve(rt, r)
+	c.resolve(*rt, r)
 }

@@ -84,15 +84,15 @@ type Batch interface {
 
 // InPlace is implemented by devices that can write a result into
 // caller-owned memory: sim.Disk, faults.Injector, striped.Array,
-// ftl.FTL, zoned.Flash, zoned.Device, trace.Player and volume.View. A
-// layer that forwards requests (a queue into its completion slot, an
-// array into its per-child scratch, the cache into its batch slot)
-// serves its inner device through ServeInto, so the result is written
-// once where it will be read instead of being returned by value and
-// copied at every layer. A device implementing InPlace derives its
-// Serve from ServeInto. One that builds its result clears *res and
-// then stores the fields: assigning a composite literal through the
-// pointer builds a temporary and copies it.
+// ftl.FTL, zoned.Flash, zoned.Device, trace.Player, trace.Recorder and
+// volume.View. A layer that forwards requests (a queue into its
+// completion slot, an array into its per-child scratch, the cache into
+// its batch slot) serves its inner device through ServeInto, so the
+// result is written once where it will be read instead of being
+// returned by value and copied at every layer. A device implementing
+// InPlace derives its Serve from ServeInto. One that builds its result
+// clears *res and then stores the fields: assigning a composite
+// literal through the pointer builds a temporary and copies it.
 type InPlace interface {
 	// ServeInto is Serve writing the result into *res: every field is
 	// overwritten on success. When err is non-nil *res is unspecified
@@ -119,6 +119,21 @@ func ServeInto(d Device, at float64, req Request, res *Result) error {
 // unknown — callers must treat 0 as "not rotational".
 type Rotational interface {
 	RotationPeriod() float64
+}
+
+// CommonRotation returns the rotation period every device shares — a
+// multi-device layer's own — or 0 when they differ or one is not
+// Rotational.
+func CommonRotation(ds []Device) float64 {
+	period := 0.0
+	for i, d := range ds {
+		r, ok := d.(Rotational)
+		if !ok || (i > 0 && r.RotationPeriod() != period) {
+			return 0
+		}
+		period = r.RotationPeriod()
+	}
+	return period
 }
 
 // BoundaryProvider is implemented by devices that know their own

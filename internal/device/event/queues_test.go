@@ -299,11 +299,11 @@ func TestQueuesUpdate(t *testing.T) {
 	}
 }
 
-// TestQueueAdvanceThroughBoundary is the satellite boundary pin for
-// sched.Queue's two cuts at t == decision instant: AdvanceTo(t) leaves
-// a decision landing exactly at t uncommitted (an arrival at t could
-// still join it), AdvanceThrough(t) commits it, and the two agree with
-// the event core's AdvanceBefore/AdvanceTo pair.
+// TestQueueAdvanceThroughBoundary is the boundary pin for sched.Queue's
+// strict cut at t == decision instant: AdvanceTo(t) leaves a decision
+// landing exactly at t uncommitted (an arrival at t could still join
+// it), like the event core's AdvanceBefore, and commits it once the
+// horizon moves past t.
 func TestQueueAdvanceThroughBoundary(t *testing.T) {
 	mk := func() *sched.Queue {
 		return newQueue(t, 5, sched.WithScheduler(sched.CLOOK()), sched.WithDepth(2))
@@ -332,12 +332,6 @@ func TestQueueAdvanceThroughBoundary(t *testing.T) {
 		if _, err := q.Submit(nd, device.Request{LBN: 1008, Sectors: 8}); err != nil {
 			t.Fatalf("submit at boundary: %v", err)
 		}
-		if err := q.AdvanceThrough(nd); err != nil {
-			t.Fatalf("AdvanceThrough: %v", err)
-		}
-		if got := q.Stats().Dispatched; got != 1 {
-			t.Fatalf("inclusive cut at t==decision dispatched %d, want 1", got)
-		}
 		if err := q.Flush(); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
@@ -345,8 +339,8 @@ func TestQueueAdvanceThroughBoundary(t *testing.T) {
 
 	t.Run("completion instant", func(t *testing.T) {
 		// The same boundary from the completion side: with one request
-		// done at time d, AdvanceThrough(d) commits every decision
-		// through d while AdvanceTo(d) stops short of one landing at d.
+		// done at time d, AdvanceTo(d) stops short of a decision landing
+		// at d.
 		probe := mk()
 		res, err := probe.Serve(0, device.Request{LBN: 1000, Sectors: 8})
 		if err != nil {
@@ -354,31 +348,23 @@ func TestQueueAdvanceThroughBoundary(t *testing.T) {
 		}
 		free := res.MediaEnd // head-free instant = the next decision time
 
-		strict, inclusive := mk(), mk()
-		for _, q := range []*sched.Queue{strict, inclusive} {
-			if _, err := q.Submit(0, device.Request{LBN: 1000, Sectors: 8}); err != nil {
-				t.Fatalf("submit: %v", err)
-			}
-			if _, err := q.Submit(0, device.Request{LBN: 1000 + 8, Sectors: 8}); err != nil {
-				t.Fatalf("submit: %v", err)
-			}
+		strict := mk()
+		if _, err := strict.Submit(0, device.Request{LBN: 1000, Sectors: 8}); err != nil {
+			t.Fatalf("submit: %v", err)
 		}
-		// Both commit the first dispatch (decision at 0 < free); only
-		// the inclusive cut commits the second, whose decision instant
-		// is exactly the first request's head-free time.
+		if _, err := strict.Submit(0, device.Request{LBN: 1000 + 8, Sectors: 8}); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		// The cut commits the first dispatch (decision at 0 < free) but
+		// not the second, whose decision instant is exactly the first
+		// request's head-free time.
 		if err := strict.AdvanceTo(free); err != nil {
 			t.Fatalf("AdvanceTo: %v", err)
 		}
 		if got := strict.Stats().Dispatched; got != 1 {
 			t.Fatalf("AdvanceTo(completion) dispatched %d, want 1", got)
 		}
-		if err := inclusive.AdvanceThrough(free); err != nil {
-			t.Fatalf("AdvanceThrough: %v", err)
-		}
-		if got := inclusive.Stats().Dispatched; got != 2 {
-			t.Fatalf("AdvanceThrough(completion) dispatched %d, want 2", got)
-		}
-		// Past the boundary the cuts agree again.
+		// Past the boundary the second decision commits.
 		if err := strict.AdvanceTo(math.Nextafter(free, math.Inf(1))); err != nil {
 			t.Fatalf("AdvanceTo past boundary: %v", err)
 		}

@@ -123,7 +123,7 @@ func (q *Queue) Err() error { return q.err }
 // Submit/Serve calls. The request is validated immediately;
 // dispatching is lazy — decisions are committed only once no later
 // arrival could join them — and finished requests accumulate for
-// DrainEach or TakeCompleted. Under FCFS the request passes straight
+// DrainEach or ConsumeCompleted. Under FCFS the request passes straight
 // through to the wrapped device.
 func (q *Queue) Submit(at float64, req device.Request) (int, error) {
 	if q.err != nil {
@@ -152,7 +152,7 @@ func (q *Queue) Submit(at float64, req device.Request) (int, error) {
 		return seq, nil
 	}
 
-	q.advance(at, false)
+	q.AdvanceTo(at)
 	q.pending = append(q.pending, Pending{Req: req, Issue: at, Seq: seq})
 	if len(q.pending) > q.stats.MaxPending {
 		q.stats.MaxPending = len(q.pending)
@@ -166,25 +166,15 @@ func (q *Queue) Submit(at float64, req device.Request) (int, error) {
 // arrival times) up to their next known wake-up.
 //
 // The cut is deliberately strict (open-world): an arrival submitted at
-// exactly t must still be a candidate for a decision at t, so that
-// decision cannot be committed here. Callers that know no arrival at t
-// is coming — event-core runs whose arrivals are all events — want the
-// inclusive cut, AdvanceThrough. A decision instant landing exactly at
-// t is therefore committed by AdvanceThrough(t) but left uncommitted by
-// AdvanceTo(t); the two agree everywhere else.
+// exactly t must still be a candidate for a decision at t, so a
+// decision landing exactly at t is left uncommitted here; a later
+// AdvanceTo past t, ForceNext, or Flush commits it.
 func (q *Queue) AdvanceTo(t float64) error {
-	if q.err == nil {
-		q.advance(t, false)
-	}
-	return q.err
-}
-
-// AdvanceThrough commits every dispatch decision at instant <= t — the
-// inclusive, closed-world cut matching event.Core.AdvanceTo: the caller
-// promises no arrival at or before t is still coming.
-func (q *Queue) AdvanceThrough(t float64) error {
-	if q.err == nil {
-		q.advance(t, true)
+	for q.err == nil && len(q.pending) > 0 {
+		d := q.nextDecision()
+		if d >= t || !q.dispatchAt(d) {
+			break
+		}
 	}
 	return q.err
 }
@@ -196,7 +186,7 @@ func (q *Queue) Flush() error {
 }
 
 // ForceNext commits the single next dispatch decision unconditionally,
-// making its completion available to TakeCompleted. It reports whether a
+// making its completion available to ConsumeCompleted. It reports whether a
 // dispatch happened (false when nothing is pending or a dispatch
 // failed).
 func (q *Queue) ForceNext() bool {
@@ -219,20 +209,10 @@ func (q *Queue) NextDecision() (float64, bool) {
 	return q.nextDecision(), true
 }
 
-// TakeCompleted returns the requests finished since the last call, in
-// dispatch (virtual-time service) order, and clears the buffer. The
-// returned slice is surrendered to the caller (the next batch gets a
-// fresh buffer); steady-state consumers that do not need to retain the
-// slice should prefer ConsumeCompleted, which recycles it.
-func (q *Queue) TakeCompleted() []Completion {
-	out := q.completed
-	q.completed = nil
-	return out
-}
-
 // ConsumeCompleted calls fn for each request finished since the last
-// TakeCompleted/ConsumeCompleted, in dispatch order, then clears the
-// buffer while retaining its capacity. Unlike TakeCompleted it never
+// ConsumeCompleted (or drain), in dispatch (virtual-time service)
+// order, then clears the buffer while retaining its capacity. It is
+// the queue's one completion read that does not flush: it never
 // reallocates in steady state, which is what keeps event-core fold
 // loops at zero allocations per request. fn receives a pointer into
 // the recycled buffer: it must neither retain it past the call nor
@@ -262,13 +242,15 @@ func (q *Queue) DrainEach(fn func(seq int, r *device.Result)) error {
 // Drain flushes the queue and returns every remaining completion.
 func (q *Queue) Drain() ([]Completion, error) {
 	err := q.Flush()
-	return q.TakeCompleted(), err
+	out := q.completed
+	q.completed = nil
+	return out, err
 }
 
 // Serve implements device.Device: the request is submitted and the whole
 // queue is flushed (a synchronous barrier), returning this request's
 // result. Results of other requests completed by the flush remain
-// available to TakeCompleted. Sequential consumers (extraction, the file
+// available to ConsumeCompleted. Sequential consumers (extraction, the file
 // systems) can therefore use a Queue anywhere a Device goes; concurrent
 // workloads should Submit and Drain instead.
 func (q *Queue) Serve(at float64, req device.Request) (device.Result, error) {
@@ -316,21 +298,6 @@ func (q *Queue) nextDecision() float64 {
 		return tmin
 	}
 	return q.freeAt
-}
-
-// advance commits every dispatch decision before horizon — strictly
-// before when inclusive is false (the open-world cut), at or before
-// when true (the closed-world cut).
-func (q *Queue) advance(horizon float64, inclusive bool) {
-	for q.err == nil && len(q.pending) > 0 {
-		t := q.nextDecision()
-		if t > horizon || (!inclusive && t == horizon) {
-			return
-		}
-		if !q.dispatchAt(t) {
-			return
-		}
-	}
 }
 
 // dispatchAt makes the decision at instant t: the scheduler picks among

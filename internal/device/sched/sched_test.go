@@ -248,14 +248,19 @@ func TestForceNextAndAdvanceTo(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if got := len(q.TakeCompleted()); got != 0 {
+	var cs []Completion
+	take := func() []Completion {
+		cs = cs[:0]
+		q.ConsumeCompleted(func(c *Completion) { cs = append(cs, *c) })
+		return cs
+	}
+	if got := len(take()); got != 0 {
 		t.Fatalf("%d completions before any commitment", got)
 	}
 	if !q.ForceNext() {
 		t.Fatal("ForceNext found nothing to dispatch")
 	}
-	cs := q.TakeCompleted()
-	if len(cs) != 1 {
+	if len(take()) != 1 {
 		t.Fatalf("ForceNext yielded %d completions, want 1", len(cs))
 	}
 	// Everything decidable before the first completion's media end + a
@@ -263,7 +268,7 @@ func TestForceNextAndAdvanceTo(t *testing.T) {
 	if err := q.AdvanceTo(cs[0].Res.MediaEnd + 1e-9); err != nil {
 		t.Fatalf("AdvanceTo: %v", err)
 	}
-	n := len(q.TakeCompleted())
+	n := len(take())
 	if n == 0 {
 		t.Fatal("AdvanceTo past the head-free instant committed nothing")
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -132,6 +133,7 @@ func TestServeIntoMatchesServe(t *testing.T) {
 		{"ftl", func(t *testing.T) device.Device { return newSmallFTL(t) }, false, false},
 		{"player", func(t *testing.T) device.Device { return newPlayer(t) }, false, false},
 		{"volume-view", func(t *testing.T) device.Device { return newVolumeView(t) }, false, false},
+		{"recorder", func(t *testing.T) device.Device { return trace.NewRecorder(newFaulty(t, 5, 36000)) }, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -228,6 +230,11 @@ func TestServeIntoMatchesServe(t *testing.T) {
 				ma, mb := a.Misses(), b.(*trace.Player).Misses()
 				if ma != mb || ma == 0 {
 					t.Fatalf("player misses: Serve twin %d, ServeInto twin %d, want equal and > 0", ma, mb)
+				}
+			case *trace.Recorder:
+				ra, rb := a.Trace().Records, b.(*trace.Recorder).Trace().Records
+				if len(ra) != served || !reflect.DeepEqual(ra, rb) {
+					t.Fatalf("recorded traces: Serve twin %d records, ServeInto twin %d, want %d and equal", len(ra), len(rb), served)
 				}
 			}
 		})

@@ -18,6 +18,9 @@
 // scheduler reorders its own span stream), Option (WithChunkSectors,
 // WithQueuedChildren, WithParity).
 //
+// Spans are routed back and joined by the fan-out ledger the volume
+// manager shares (device.Routes, device.Joins).
+//
 // Determinism: span fan-out and join run on the caller's goroutine in
 // virtual time; child order is fixed and joins sum bus time in split
 // order, so a seeded workload over an array is bit-identical at any

@@ -8,6 +8,7 @@ import (
 
 	"traxtents/internal/device"
 	"traxtents/internal/device/sched"
+	"traxtents/internal/disk/mech"
 	"traxtents/internal/traxtent"
 )
 
@@ -96,44 +97,15 @@ type Array struct {
 	spanOf   []int  // child index -> span index in spanBuf this Serve, -1 if none
 	childRes device.Result
 
-	// Batch state: the unreported requests in submission order, one
-	// slot per merged span of theirs, each queued child's routes back to
-	// the slots, and the number of spans queued lazily since the last
-	// settle. nextSeq numbers the array's own submissions.
-	joins     []join
-	spans     []spanSlot
-	lanes     []lane
-	lazy      int
+	// Batch state: the unreported requests in submission order, joined
+	// from their merged spans, with seqs[i] the array sequence number of
+	// join i, and each queued child's routes from its sequence numbers
+	// back to span slots. nextSeq numbers the array's own submissions.
+	joins     device.Joins
+	seqs      []int
+	routes    []device.Routes[int]
 	nextSeq   int
 	lastIssue float64
-}
-
-// join is one array-level request being assembled from child spans,
-// whose merged spans hold slots span0 .. span0+spans-1 in split order.
-type join struct {
-	res       device.Result
-	seq       int
-	span0     int
-	spans     int
-	remaining int // spans still queued lazily on children
-	started   bool
-	// failed marks a request whose Submit was rejected part-way: spans
-	// already in flight still fold into it, but it is never reported.
-	failed bool
-}
-
-// spanSlot is one merged span: its join and, once served, its bus
-// time, which finish sums in split order.
-type spanSlot struct {
-	ji  int
-	bus float64
-}
-
-// lane routes a queued child's lazily submitted spans in the current
-// batch: slots[i] is the span slot of its submission base+i, -1 once in.
-type lane struct {
-	base  int
-	slots []int
 }
 
 var (
@@ -273,18 +245,8 @@ func New(children []device.Device, opts ...Option) (*Array, error) {
 	}
 	a.spanBuf = make([]span, 0, n)
 	a.spanOf = make([]int, n)
-	a.lanes = make([]lane, n)
-
-	// A common child rotation period is the array's; mixed spindles (or
-	// non-rotational children) leave it unknown.
-	for i, c := range children {
-		r, ok := c.(device.Rotational)
-		if !ok || r.RotationPeriod() <= 0 || (i > 0 && r.RotationPeriod() != a.period) {
-			a.period = 0
-			break
-		}
-		a.period = r.RotationPeriod()
-	}
+	a.routes = make([]device.Routes[int], n)
+	a.period = device.CommonRotation(children)
 	return a, nil
 }
 
@@ -379,22 +341,6 @@ func (a *Array) split(req device.Request) []span {
 	return out
 }
 
-// accumulate folds one child span result into an array-level result:
-// the array starts when the first child starts and completes when the
-// last child completes; bus occupancy and prefetch sum; the aggregate
-// is a cache hit only if every span was.
-func accumulate(dst *device.Result, started *bool, r *device.Result) {
-	if !*started || r.Start < dst.Start {
-		dst.Start = r.Start
-	}
-	dst.MediaEnd = max(dst.MediaEnd, r.MediaEnd)
-	dst.Done = max(dst.Done, r.Done)
-	dst.BusTime += r.BusTime
-	dst.Prefetched += r.Prefetched
-	dst.CacheHit = dst.CacheHit && r.CacheHit
-	*started = true
-}
-
 // Serve services one request synchronously, as a batch of one: each
 // per-child span is issued at the request's issue time (the children
 // position and transfer in parallel), and the array's completion is
@@ -415,11 +361,11 @@ func (a *Array) Serve(at float64, req device.Request) (device.Result, error) {
 // Submit, settle, and take the request's join. The steady state
 // allocates nothing.
 func (a *Array) ServeInto(at float64, req device.Request, res *device.Result) error {
-	if !a.parity && len(a.joins) > 0 {
-		return fmt.Errorf("striped: %d submitted requests outstanding; drain before Serve", len(a.joins))
+	if !a.parity && a.joins.Len() > 0 {
+		return fmt.Errorf("striped: %d submitted requests outstanding; drain before Serve", a.joins.Len())
 	}
 	if _, err := a.Submit(at, req); err != nil {
-		if a.lazy > 0 {
+		if !a.parity {
 			// Land the failed request's queued spans, so Serve stays a
 			// barrier; the request itself is never reported.
 			a.DrainEach(func(int, *device.Result) {})
@@ -429,10 +375,10 @@ func (a *Array) ServeInto(at float64, req device.Request, res *device.Result) er
 	if err := a.settle(); err != nil {
 		return err
 	}
-	ji := len(a.joins) - 1
-	j := &a.joins[ji]
-	*res = j.res
-	a.joins, a.spans = a.joins[:ji], a.spans[:j.span0]
+	ji := a.joins.Len() - 1
+	*res = a.joins.At(ji).Res
+	a.joins.Drop(ji)
+	a.seqs = a.seqs[:ji]
 	return nil
 }
 
@@ -460,6 +406,16 @@ func (a *Array) childOp(at float64, c int, sub device.Request) (*device.Result, 
 	}
 }
 
+// mergeOp issues one child operation of the per-unit walk and merges
+// its result into the request's join.
+func (a *Array) mergeOp(at float64, c int, sub device.Request, out *device.Join) error {
+	r, err := a.childOp(at, c, sub)
+	if err == nil {
+		out.Merge(r)
+	}
+	return err
+}
+
 // absorb classifies a child failure a healthy parity array survives in
 // place: a whole-child loss degrades the array, and a medium error is
 // reconstructable per unit. Transients were already retried by
@@ -477,18 +433,16 @@ func (a *Array) absorb(err error, c int) bool {
 
 // serveParity is the per-unit path: parity writes (read-modify-write),
 // degraded reads (peer reconstruction), and medium-error repair all
-// work on whole stripe units, so the walk never merges spans. It
-// starts *res afresh.
-func (a *Array) serveParity(at float64, req device.Request, res *device.Result) error {
-	*res = device.Result{Req: req, Issue: at, CacheHit: true}
-	started := false
+// work on whole stripe units, so the walk adds no spans: it merges
+// every child operation straight into the request's join, out.
+func (a *Array) serveParity(at float64, req device.Request, out *device.Join) error {
 	lbn := req.LBN
 	left := int64(req.Sectors)
 	j := a.unitOf(lbn)
 	for left > 0 {
 		n := min(a.bounds[j+1]-lbn, left)
 		o := lbn - a.bounds[j]
-		if err := a.serveUnit(at, j, o, n, req, res, &started); err != nil {
+		if err := a.serveUnit(at, j, o, n, req, out); err != nil {
 			return err
 		}
 		lbn += n
@@ -499,27 +453,25 @@ func (a *Array) serveParity(at float64, req device.Request, res *device.Result) 
 }
 
 // serveUnit services the [o, o+n) window of logical unit j.
-func (a *Array) serveUnit(at float64, j int, o, n int64, req device.Request, res *device.Result, started *bool) error {
+func (a *Array) serveUnit(at float64, j int, o, n int64, req device.Request, out *device.Join) error {
 	s := j / a.nData
 	c := a.childOf[j]
 	if req.Write {
-		return a.writeUnit(at, s, o, n, c, a.parityChild[s], req.FUA, res, started)
+		return a.writeUnit(at, s, o, n, c, a.parityChild[s], req.FUA, out)
 	}
 	if c == a.lost {
-		return a.reconstruct(at, s, o, n, c, res, started)
+		return a.reconstruct(at, s, o, n, c, out)
 	}
-	rd := device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n), FUA: req.FUA}
-	r, err := a.childOp(at, c, rd)
+	err := a.mergeOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n), FUA: req.FUA}, out)
 	if err == nil {
-		accumulate(res, started, r)
 		return nil
 	}
 	if errors.Is(err, device.ErrLost) && a.lost < 0 {
 		a.lost = c
-		return a.reconstruct(at, s, o, n, c, res, started)
+		return a.reconstruct(at, s, o, n, c, out)
 	}
 	if errors.Is(err, device.ErrMedium) {
-		return a.repair(at, s, o, n, c, res, started)
+		return a.repair(at, s, o, n, c, out)
 	}
 	return err
 }
@@ -527,16 +479,14 @@ func (a *Array) serveUnit(at float64, j int, o, n int64, req device.Request, res
 // repair reconstructs the [o, o+n) window of stripe s's unit on child
 // c from the peers, then rewrites it in place: the write reassigns the
 // bad sectors, repairing the child without degrading the array.
-func (a *Array) repair(at float64, s int, o, n int64, c int, res *device.Result, started *bool) error {
-	if err := a.reconstruct(at, s, o, n, c, res, started); err != nil {
+func (a *Array) repair(at float64, s int, o, n int64, c int, out *device.Join) error {
+	if err := a.reconstruct(at, s, o, n, c, out); err != nil {
 		return err
 	}
-	wr, err := a.childOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n), Write: true})
-	if err != nil {
+	if err := a.mergeOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n), Write: true}, out); err != nil {
 		return err
 	}
 	a.dstats.Repairs++
-	accumulate(res, started, wr)
 	return nil
 }
 
@@ -545,7 +495,7 @@ func (a *Array) repair(at float64, s int, o, n int64, c int, res *device.Result,
 // parity) and XORing them — free in virtual time beyond the reads,
 // which are all issued at the same instant so the survivors position
 // in parallel.
-func (a *Array) reconstruct(at float64, s int, o, n int64, skip int, res *device.Result, started *bool) error {
+func (a *Array) reconstruct(at float64, s int, o, n int64, skip int, out *device.Join) error {
 	if a.lost >= 0 && a.lost != skip {
 		return &device.Error{
 			Op:  fmt.Sprintf("striped child %d", skip),
@@ -553,7 +503,7 @@ func (a *Array) reconstruct(at float64, s int, o, n int64, skip int, res *device
 			Err: fmt.Errorf("%w: stripe %d cannot reconstruct with children %d and %d both failed", device.ErrMedium, s, a.lost, skip),
 		}
 	}
-	if err := a.readPeers(at, s, o, n, skip, skip, res, started); err != nil {
+	if err := a.readPeers(at, s, o, n, skip, skip, out); err != nil {
 		return err
 	}
 	a.dstats.Reconstructs++
@@ -562,16 +512,14 @@ func (a *Array) reconstruct(at float64, s int, o, n int64, skip int, res *device
 
 // readPeers reads the [o, o+n) window of stripe s on every child but x
 // and y, all at the same instant.
-func (a *Array) readPeers(at float64, s int, o, n int64, x, y int, res *device.Result, started *bool) error {
+func (a *Array) readPeers(at float64, s int, o, n int64, x, y int, out *device.Join) error {
 	for c := range a.children {
 		if c == x || c == y {
 			continue
 		}
-		r, err := a.childOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n)})
-		if err != nil {
+		if err := a.mergeOp(at, c, device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n)}, out); err != nil {
 			return err
 		}
-		accumulate(res, started, r)
 	}
 	return nil
 }
@@ -580,7 +528,7 @@ func (a *Array) readPeers(at float64, s int, o, n int64, x, y int, res *device.R
 // child c and the stripe's parity on child p. All phases are issued at
 // the same instant: each child queues its own read before its write
 // FCFS, while the data and parity children overlap.
-func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, res *device.Result, started *bool) error {
+func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, out *device.Join) error {
 	dataW := device.Request{LBN: a.childStarts[c][s] + o, Sectors: int(n), Write: true, FUA: fua}
 	parW := device.Request{LBN: a.childStarts[p][s] + o, Sectors: int(n), Write: true, FUA: fua}
 	switch {
@@ -588,23 +536,13 @@ func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, res
 		// The unit's child is gone: fold the new data into parity
 		// instead — read the stripe's surviving data units and rewrite
 		// parity as their XOR with the new data.
-		if err := a.readPeers(at, s, o, n, c, p, res, started); err != nil {
+		if err := a.readPeers(at, s, o, n, c, p, out); err != nil {
 			return err
 		}
-		r, err := a.childOp(at, p, parW)
-		if err != nil {
-			return err
-		}
-		accumulate(res, started, r)
-		return nil
+		return a.mergeOp(at, p, parW, out)
 	case p == a.lost:
 		// Parity is gone: the data write alone carries the update.
-		r, err := a.childOp(at, c, dataW)
-		if err != nil {
-			return err
-		}
-		accumulate(res, started, r)
-		return nil
+		return a.mergeOp(at, c, dataW, out)
 	}
 	// Healthy stripe: read-modify-write — read old data and old parity,
 	// then write new data and new parity.
@@ -617,23 +555,21 @@ func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, res
 		{c, dataW},
 		{p, parW},
 	} {
-		r, err := a.childOp(at, ph.c, ph.rq)
-		if err != nil {
+		if err := a.mergeOp(at, ph.c, ph.rq, out); err != nil {
 			if errors.Is(err, device.ErrLost) && a.lost < 0 {
 				// Degrade and redo the unit: the degraded branches above
 				// take over. Ops already served stand.
 				a.lost = ph.c
-				return a.writeUnit(at, s, o, n, c, p, fua, res, started)
+				return a.writeUnit(at, s, o, n, c, p, fua, out)
 			}
 			if !ph.rq.Write && errors.Is(err, device.ErrMedium) {
 				// The old contents are unreadable; recompute parity from
 				// scratch instead: read every other data unit and write
 				// data + parity (the writes reassign the bad sectors).
-				return a.rewriteUnit(at, s, o, n, c, p, fua, res, started)
+				return a.rewriteUnit(at, s, o, n, c, p, fua, out)
 			}
 			return err
 		}
-		accumulate(res, started, r)
 	}
 	return nil
 }
@@ -642,20 +578,17 @@ func (a *Array) writeUnit(at float64, s int, o, n int64, c, p int, fua bool, res
 // whose old data or parity is unreadable: parity is recomputed from
 // the other data units and both target windows are rewritten, which
 // also repairs the bad sectors in place.
-func (a *Array) rewriteUnit(at float64, s int, o, n int64, c, p int, fua bool, res *device.Result, started *bool) error {
-	if err := a.readPeers(at, s, o, n, c, p, res, started); err != nil {
+func (a *Array) rewriteUnit(at float64, s int, o, n int64, c, p int, fua bool, out *device.Join) error {
+	if err := a.readPeers(at, s, o, n, c, p, out); err != nil {
 		return err
 	}
 	for _, ph := range [2]struct {
 		c   int
 		lbn int64
 	}{{c, a.childStarts[c][s] + o}, {p, a.childStarts[p][s] + o}} {
-		w := device.Request{LBN: ph.lbn, Sectors: int(n), Write: true, FUA: fua}
-		r, err := a.childOp(at, ph.c, w)
-		if err != nil {
+		if err := a.mergeOp(at, ph.c, device.Request{LBN: ph.lbn, Sectors: int(n), Write: true, FUA: fua}, out); err != nil {
 			return err
 		}
-		accumulate(res, started, r)
 	}
 	a.dstats.Repairs++
 	return nil
@@ -679,27 +612,26 @@ func (a *Array) Submit(at float64, req device.Request) (int, error) {
 		return 0, fmt.Errorf("striped: issue time %g before previous %g", at, a.lastIssue)
 	}
 	a.lastIssue = at
-	ji := len(a.joins)
-	a.joins = append(a.joins, join{res: device.Result{Req: req, Issue: at, CacheHit: true}, seq: a.nextSeq, span0: len(a.spans)})
+	ji := a.joins.Open(req, at)
+	a.seqs = append(a.seqs, a.nextSeq)
 	var err error
 	if a.parity && (req.Write || a.lost >= 0) {
-		err = a.serveParity(at, req, &a.joins[ji].res)
+		err = a.serveParity(at, req, a.joins.At(ji))
 	} else {
 		err = a.submitSpans(at, req, ji)
 	}
-	j := &a.joins[ji]
 	if err != nil {
-		j.failed = true // spans in flight still fold into it; it is never reported
-		if j.remaining == 0 {
-			a.joins, a.spans = a.joins[:ji], a.spans[:j.span0]
-		}
+		// Spans in flight still fold into the failed join; it is never
+		// reported.
+		a.joins.Fail(ji)
+		a.seqs = a.seqs[:a.joins.Len()]
 		return 0, err
 	}
-	if j.remaining == 0 {
-		a.finish(j)
+	if a.joins.Seal(ji) {
+		a.finish(ji)
 	}
 	a.nextSeq++
-	return j.seq, nil
+	return a.seqs[ji], nil
 }
 
 // submitSpans fans join ji's request out as merged per-child spans in
@@ -709,24 +641,14 @@ func (a *Array) Submit(at float64, req device.Request) (int, error) {
 // layout. A span the child rejects fails the request; spans already
 // queued still fold into the join, which is never reported.
 func (a *Array) submitSpans(at float64, req device.Request, ji int) error {
-	j := &a.joins[ji]
-	spans := a.split(req)
-	j.spans = len(spans)
-	for i, s := range spans {
-		a.spans = append(a.spans, spanSlot{ji: ji})
+	for _, s := range a.split(req) {
 		sub := device.Request{LBN: s.lbn, Sectors: s.sectors, Write: req.Write, FUA: req.FUA}
 		if q, ok := a.children[s.child].(*sched.Queue); ok && !a.parity {
 			cseq, err := q.Submit(at, sub)
 			if err != nil {
 				return &device.Error{Op: fmt.Sprintf("striped child %d", s.child), Req: sub, Err: err}
 			}
-			l := &a.lanes[s.child]
-			if len(l.slots) == 0 {
-				l.base = cseq
-			}
-			l.slots = append(l.slots, j.span0+i)
-			j.remaining++
-			a.lazy++
+			a.routes[s.child].Add(cseq, a.joins.Span(ji))
 			continue
 		}
 		r, err := a.childOp(at, s.child, sub)
@@ -736,79 +658,67 @@ func (a *Array) submitSpans(at float64, req device.Request, ji int) error {
 				// re-walk the whole request unit by unit, reconstructing
 				// what the failed child cannot serve. Spans already
 				// served stand — the retry is a fresh pass over the same
-				// addresses.
-				j.spans = 0
-				return a.serveParity(at, req, &j.res)
+				// addresses, into the join opened afresh.
+				a.joins.Drop(ji)
+				return a.serveParity(at, req, a.joins.At(a.joins.Open(req, at)))
 			}
 			return err
 		}
-		a.spans[j.span0+i].bus = r.BusTime
-		accumulate(&j.res, &j.started, r)
+		a.joins.Fold(a.joins.Span(ji), r)
 	}
 	return nil
 }
 
-// finish completes a join: merged spans' BusTime is re-summed from the
-// slots in split order, and the array clock moves to its completion.
-func (a *Array) finish(j *join) {
-	if j.spans > 1 {
-		bus := a.spans[j.span0].bus
-		for _, s := range a.spans[j.span0+1 : j.span0+j.spans] {
-			bus += s.bus
-		}
-		j.res.BusTime = bus
-	}
-	a.lastDone = max(a.lastDone, j.res.Done)
+// finish completes join ji: the aggregate keeps no media-phase
+// breakdown, and the array clock moves to its completion.
+func (a *Array) finish(ji int) {
+	j := a.joins.At(ji)
+	j.Res.Timing = mech.Breakdown{}
+	a.lastDone = max(a.lastDone, j.Res.Done)
 }
 
 // settle flushes each child holding lazily queued spans, in index
-// order, and folds the completions into their joins; it does nothing
-// when no span was queued lazily. Spindles share no state and finish
-// sums bus time in split order, so the fold order changes no result.
-// A failed settle abandons the batch.
+// order, and folds the completions into their joins. Spindles share
+// no state and a join sums bus time in split order, so the fold order
+// changes no result. A failed settle abandons the batch.
 func (a *Array) settle() error {
-	if a.lazy == 0 {
-		return nil
-	}
-	a.lazy = 0
 	var err error
-	for c := range a.lanes {
-		l := &a.lanes[c]
-		if len(l.slots) > 0 && err == nil {
+	for c := range a.routes {
+		rt := &a.routes[c]
+		if rt.Live() == 0 {
+			continue
+		}
+		if err == nil {
 			if qerr := a.children[c].(*sched.Queue).DrainEach(func(seq int, r *device.Result) {
-				i := seq - l.base
-				if i < 0 || i >= len(l.slots) || l.slots[i] < 0 {
-					err = cmp.Or(err, fmt.Errorf("striped: child %d completion %d has no owner", c, seq))
+				slot, terr := rt.Take(seq)
+				if terr != nil {
+					err = cmp.Or(err, fmt.Errorf("striped: child %d completion %d %w", c, seq, terr))
 					return
 				}
-				k := l.slots[i]
-				l.slots[i] = -1
-				a.spans[k].bus = r.BusTime
-				j := &a.joins[a.spans[k].ji]
-				accumulate(&j.res, &j.started, r)
-				if j.remaining--; j.remaining == 0 && !j.failed {
-					a.finish(j)
+				if ji, done := a.joins.Fold(*slot, r); done {
+					a.finish(ji)
 				}
 			}); qerr != nil {
 				err = fmt.Errorf("striped: child %d: %w", c, qerr)
 			}
 		}
-		l.slots = l.slots[:0]
+		rt.Reset()
 	}
-	for i := range a.joins {
-		if j := &a.joins[i]; err == nil && j.remaining != 0 {
-			err = fmt.Errorf("striped: request %d still missing %d spans after drain", i, j.remaining)
+	if err == nil {
+		if _, merr := a.joins.Missing(); merr != nil {
+			err = fmt.Errorf("striped: %w", merr)
 		}
 	}
 	if err != nil {
-		a.joins, a.spans = a.joins[:0], a.spans[:0]
+		a.joins.Reset()
+		a.seqs = a.seqs[:0]
 	}
 	return err
 }
 
 // Outstanding returns the number of submitted array requests awaiting
 // DrainEach.
-func (a *Array) Outstanding() int { return len(a.joins) }
+func (a *Array) Outstanding() int { return a.joins.Len() }
 
 // DrainEach settles the batch and calls fn for each assembled result
 // in submission order.
@@ -816,12 +726,13 @@ func (a *Array) DrainEach(fn func(seq int, r *device.Result)) error {
 	if err := a.settle(); err != nil {
 		return err
 	}
-	for i := range a.joins {
-		if j := &a.joins[i]; !j.failed {
-			fn(j.seq, &j.res)
+	for i, seq := range a.seqs {
+		if j := a.joins.At(i); !j.Failed() {
+			fn(seq, &j.Res)
 		}
 	}
-	a.joins, a.spans = a.joins[:0], a.spans[:0]
+	a.joins.Reset()
+	a.seqs = a.seqs[:0]
 	return nil
 }
 
@@ -897,12 +808,11 @@ func (a *Array) ScrubStripe(at float64, s int) (float64, int, error) {
 			// on — its units are now the rebuild pass's problem.
 			a.lost = c
 		case errors.Is(err, device.ErrMedium):
-			res := device.Result{Req: rd, Issue: at}
-			started := false
-			if err := a.repair(at, s, 0, n, c, &res, &started); err != nil {
+			var j device.Join
+			if err := a.repair(at, s, 0, n, c, &j); err != nil {
 				return 0, reads, err
 			}
-			at = res.Done
+			at = j.Res.Done
 		default:
 			return 0, reads, err
 		}

@@ -113,10 +113,15 @@ func Decode(data []byte) (Trace, error) {
 type Recorder struct {
 	dev device.Device
 	tr  Trace
+
+	// res is Serve's result buffer: a local handed to the wrapped
+	// device's ServeInto would escape to the heap on every request.
+	res device.Result
 }
 
 var (
 	_ device.Device           = (*Recorder)(nil)
+	_ device.InPlace          = (*Recorder)(nil)
 	_ device.Rotational       = (*Recorder)(nil)
 	_ device.BoundaryProvider = (*Recorder)(nil)
 	_ device.Mapped           = (*Recorder)(nil)
@@ -150,16 +155,24 @@ func NewRecorder(d device.Device) *Recorder {
 // including its issue instant, so the capture replays with its
 // original arrival pattern.
 func (r *Recorder) Serve(at float64, req device.Request) (device.Result, error) {
-	res, err := r.dev.Serve(at, req)
-	if err != nil {
-		return res, err
+	if err := r.ServeInto(at, req, &r.res); err != nil {
+		return device.Result{}, err
+	}
+	return r.res, nil
+}
+
+// ServeInto is Serve writing the result into *res (device.InPlace):
+// the wrapped device serves in place when it can.
+func (r *Recorder) ServeInto(at float64, req device.Request, res *device.Result) error {
+	if err := device.ServeInto(r.dev, at, req, res); err != nil {
+		return err
 	}
 	r.tr.Records = append(r.tr.Records, Record{
 		LBN: req.LBN, Sectors: req.Sectors, Write: req.Write,
 		Issue:   at,
 		Service: res.Done - res.Start,
 	})
-	return res, nil
+	return nil
 }
 
 // Now returns the wrapped device's clock.

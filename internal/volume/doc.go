@@ -23,7 +23,8 @@
 // so no samples are stored: each completion queues its response time
 // on a stats.Feed, which applies the updates in batches on a helper
 // goroutine, and VolumeStats, Stats and Aggregate sync the feed before
-// they read an estimate.
+// they read an estimate. Shard spans are routed back and joined by the
+// fan-out ledger the striped array shares (device.Routes, device.Joins).
 //
 // Determinism: the Manager is single-goroutine like the rest of the
 // stack (the feed's helper only ever touches the estimators, in

@@ -256,7 +256,7 @@ func TestQueuedTierFailureIsSticky(t *testing.T) {
 // numbers its tier has handed out since the last drain.
 func checkRoutes(t *testing.T, sh *shard) {
 	t.Helper()
-	if got, want := sh.routeBase+len(sh.routes), sh.tier.Stats().Submitted; got != want {
+	if got, want := sh.routes.End(), sh.tier.Stats().Submitted; got != want {
 		t.Fatalf("shard %d routes end at seq %d, tier submitted %d", sh.idx, got, want)
 	}
 }

@@ -8,13 +8,13 @@ import (
 // per-request tenant metadata the Pending record does not carry: the
 // Manager stores each accepted span's sort key (SFQ start tag or EDF
 // deadline) in the shard's route for it, so Pick reads
-// routes[cands[i].Seq-routeBase].key. Routes hold only the current
-// batch, so the keys take no memory beyond the requests in flight.
+// routes.At(cands[i].Seq).key. Routes hold only the current batch, so
+// the keys take no memory beyond the requests in flight.
 // Both break ties by arrival order (strict <, first candidate wins),
 // keeping runs bit-reproducible.
 
 // key returns the sort key of the span the shard's tier numbered seq.
-func (s *shard) key(seq int) float64 { return s.routes[seq-s.routeBase].key }
+func (s *shard) key(seq int) float64 { return s.routes.At(seq).key }
 
 // fairShare is start-time fair queueing (SFQ) across tenants: each
 // submission carries a start tag S = max(v, tenant.lastFinish) and

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"traxtents/internal/device"
 	"traxtents/internal/device/sched"
-	"traxtents/internal/disk/mech"
 	"traxtents/internal/stats"
 )
 
@@ -82,17 +80,17 @@ type shard struct {
 	freeExt   []int   // min-heap of returned extent indices
 	nextFresh int     // lowest never-allocated extent index
 
-	// routes[i] routes tier seq routeBase+i of the current batch. A
-	// successful Drain empties it, so it holds only the batch's spans.
-	routeBase int
-	routes    []route
+	// routes maps the tier's sequence numbers in the current batch to
+	// their spans. A successful Drain empties it, so it holds only the
+	// batch's spans.
+	routes device.Routes[route]
 
 	vtime float64 // SFQ virtual time
 }
 
 // route is one span the current batch submitted to a shard tier.
 type route struct {
-	slot int     // span slot in Manager.spans, -1 once folded
+	slot int     // span slot in Manager.joins
 	key  float64 // the tier scheduler's sort key: SFQ start tag or EDF deadline
 }
 
@@ -257,21 +255,6 @@ func (v *Volume) refill(t float64) {
 	}
 }
 
-// join assembles one volume request's spans back into a single Result.
-// Its spans hold batch slots span0 .. span0+spans-1 of Manager.spans.
-type join struct {
-	vol       *Volume
-	res       device.Result
-	span0     int
-	spans     int
-	remaining int
-	started   bool
-	// failed marks a join whose batch died mid-route (a shard tier
-	// rejected a span): spans already in flight still fold into it, but
-	// it never accounts and Drain does not demand its missing spans.
-	failed bool
-}
-
 // admissionSnapshot captures the tenant state admit mutates, so a
 // mid-batch routing failure can put it back per the ErrRejected
 // contract: a request the volume server could not place consumes no
@@ -300,14 +283,6 @@ func (v *Volume) restore(s admissionSnapshot) {
 	v.bucketAt = s.bucketAt
 	v.lastRelease = s.lastRelease
 	v.deferred = s.deferred
-}
-
-// spanSlot is one routed span of the current batch: its join and, once
-// folded, its bus time — summed in span order when the join completes,
-// so a request's BusTime does not depend on which shard finished first.
-type spanSlot struct {
-	ji  int
-	bus float64
 }
 
 // heldReq is an admitted-but-shaped request waiting for its release
@@ -380,8 +355,10 @@ type Manager struct {
 	vols  map[string]*Volume
 	order []*Volume
 
-	joins     []join
-	spans     []spanSlot
+	// joins reassembles the batch's requests from their spans;
+	// owners[i] is the tenant of join i.
+	joins     device.Joins
+	owners    []*Volume
 	held      heldHeap
 	heldOrder int
 
@@ -463,7 +440,7 @@ func New(shards []device.Device, opts ...Option) (*Manager, error) {
 		}
 		m.shards = append(m.shards, sh)
 	}
-	m.rotation = commonRotation(shards)
+	m.rotation = device.CommonRotation(shards)
 	m.foldFn = m.foldOne
 	return m, nil
 }
@@ -491,25 +468,6 @@ func extentBounds(d device.Device, extentSectors int64) ([]int64, error) {
 		bounds[i] = int64(i) * extentSectors
 	}
 	return bounds, nil
-}
-
-// commonRotation returns the rotation period shared by every shard, or
-// 0 when any shard differs or has none.
-func commonRotation(shards []device.Device) float64 {
-	period := 0.0
-	for i, d := range shards {
-		r, ok := d.(device.Rotational)
-		if !ok {
-			return 0
-		}
-		p := r.RotationPeriod()
-		if i == 0 {
-			period = p
-		} else if p != period {
-			return 0
-		}
-	}
-	return period
 }
 
 // Shards returns the number of shard devices.
@@ -737,37 +695,28 @@ func (m *Manager) Submit(name string, at float64, req device.Request) error {
 // tiers at the release instant, registering a join for reassembly.
 //
 // A span the tier rejects mid-batch cannot be unsubmitted from the
-// spans before it, so route fails softly: the join is marked failed
-// (earlier spans still fold into it, but it never accounts) and the
-// tenant's in-flight count drops. A span is tagged and routed only
-// once its tier accepts it, so a rejection leaves nothing to undo.
+// spans before it, so route fails softly: the join is failed (earlier
+// spans still fold into it, but it never accounts) and the tenant's
+// in-flight count drops. A span is tagged and routed only once its
+// tier accepts it, so a rejection leaves nothing to undo.
 func (m *Manager) route(v *Volume, issue, release float64, req device.Request) error {
-	ji := len(m.joins)
-	spans := m.split(v, req)
-	span0 := len(m.spans)
-	// Fill the join in place; its first span's completion overwrites
-	// every other field of res.
-	m.joins = slices.Grow(m.joins, 1)[:ji+1]
-	j := &m.joins[ji]
-	j.vol, j.res.Req, j.res.Issue = v, req, issue
-	j.span0, j.spans, j.remaining = span0, len(spans), len(spans)
-	j.started, j.failed = false, false
-	for range spans {
-		m.spans = append(m.spans, spanSlot{ji: ji})
-	}
-	for si, sp := range spans {
+	ji := m.joins.Open(req, issue)
+	m.owners = append(m.owners, v)
+	for _, sp := range m.split(v, req) {
 		sub := device.Request{LBN: sp.lbn, Sectors: sp.sectors, Write: req.Write, FUA: req.FUA}
 		// The start tag reads the shard's virtual time before Submit,
 		// which may dispatch earlier requests and advance it.
 		start := math.Max(sp.sh.vtime, v.lastFinish[sp.sh.idx])
-		if _, err := sp.sh.tier.Submit(release, sub); err != nil {
-			j.failed = true
-			j.remaining -= len(spans) - si // this span and the rest never complete
+		seq, err := sp.sh.tier.Submit(release, sub)
+		if err != nil {
+			m.joins.Fail(ji)
+			m.owners = m.owners[:m.joins.Len()]
 			v.unresolved--
 			return err
 		}
-		sp.sh.routes = append(sp.sh.routes, route{slot: span0 + si, key: m.tag(sp.sh, v, start, release, sp.sectors)})
+		sp.sh.routes.Add(seq, route{slot: m.joins.Span(ji), key: m.tag(sp.sh, v, start, release, sp.sectors)})
 	}
+	m.joins.Seal(ji) // spans fold only in fold, so the join completes there
 	return nil
 }
 
@@ -832,54 +781,15 @@ func (m *Manager) foldOne(c *sched.Completion) {
 		return
 	}
 	sh := m.foldCur
-	i := c.Seq - sh.routeBase
-	if i < 0 || i >= len(sh.routes) || sh.routes[i].slot < 0 {
-		m.foldErr = fmt.Errorf("volume: shard %d completion %d (%+v) has no owner", sh.idx, c.Seq, c.Res.Req)
+	rt, err := sh.routes.Take(c.Seq)
+	if err != nil {
+		m.foldErr = fmt.Errorf("volume: shard %d completion %d (%+v) %w", sh.idx, c.Seq, c.Res.Req, err)
 		return
 	}
-	k := sh.routes[i].slot
-	sh.routes[i].slot = -1
-	m.spans[k].bus = c.Res.BusTime
-	j := &m.joins[m.spans[k].ji]
-	accumulate(&j.res, &j.started, &c.Res)
-	j.remaining--
-	if j.remaining == 0 && !j.failed {
-		if j.spans > 1 {
-			bus := m.spans[j.span0].bus
-			for _, s := range m.spans[j.span0+1 : j.span0+j.spans] {
-				bus += s.bus
-			}
-			j.res.BusTime = bus
-		}
-		j.vol.unresolved--
-		m.account(j.vol, &j.res)
+	if ji, done := m.joins.Fold(rt.slot, &c.Res); done {
+		m.owners[ji].unresolved--
+		m.account(m.owners[ji], &m.joins.At(ji).Res)
 	}
-}
-
-// accumulate merges one span result into a join's aggregate. A single
-// span keeps the child's full record (including the media-phase
-// breakdown); merged spans drop Timing, like a striped array's joins.
-// Bus time is summed by foldOne, in span order.
-func accumulate(dst *device.Result, started *bool, r *device.Result) {
-	if !*started {
-		req, issue := dst.Req, dst.Issue
-		*dst = *r
-		dst.Req, dst.Issue = req, issue
-		*started = true
-		return
-	}
-	dst.Timing = mech.Breakdown{}
-	if r.Start < dst.Start {
-		dst.Start = r.Start
-	}
-	if r.MediaEnd > dst.MediaEnd {
-		dst.MediaEnd = r.MediaEnd
-	}
-	if r.Done > dst.Done {
-		dst.Done = r.Done
-	}
-	dst.Prefetched += r.Prefetched
-	dst.CacheHit = dst.CacheHit && r.CacheHit
 }
 
 // account records one reassembled completion against its tenant and
@@ -932,16 +842,13 @@ func (m *Manager) Drain() error {
 	// the dropped request, not vanish from the accounting. Failed joins
 	// are the exception: their missing spans were never submitted (the
 	// rejection already surfaced to the submitter).
-	for i := range m.joins {
-		if j := &m.joins[i]; j.remaining != 0 && !j.failed {
-			return fmt.Errorf("volume: request %+v for %q still missing %d spans after drain",
-				j.res.Req, j.vol.name, j.remaining)
-		}
+	if ji, err := m.joins.Missing(); err != nil {
+		return fmt.Errorf("volume: tenant %q: %w", m.owners[ji].name, err)
 	}
-	m.joins = m.joins[:0]
-	m.spans = m.spans[:0]
+	m.joins.Reset()
+	m.owners = m.owners[:0]
 	for _, sh := range m.shards {
-		sh.routeBase, sh.routes = sh.routeBase+len(sh.routes), sh.routes[:0]
+		sh.routes.Reset()
 	}
 	return nil
 }
@@ -962,7 +869,7 @@ func (m *Manager) ServeTenant(name string, at float64, req device.Request) (devi
 // serveInto is ServeTenant writing the result into *res: account
 // writes it there as the request's join completes.
 func (m *Manager) serveInto(name string, at float64, req device.Request, res *device.Result) error {
-	if len(m.held) > 0 || len(m.joins) > 0 {
+	if len(m.held) > 0 || m.joins.Len() > 0 {
 		if err := m.Drain(); err != nil {
 			return err
 		}

@@ -287,12 +287,10 @@ func runClosed(q *sched.Queue, g *gen, n int, ld Load) ([]sched.Completion, erro
 	clientOf := make([]int, 0, n)
 	out := make([]sched.Completion, 0, n)
 	submitted := 0
-	fold := func(cs []sched.Completion) {
-		for _, c := range cs {
-			out = append(out, c)
-			if submitted < n {
-				heap.Push(&h, wake{t: c.Res.Done + ld.ThinkMs, client: clientOf[c.Seq]})
-			}
+	fold := func(c *sched.Completion) {
+		out = append(out, *c)
+		if submitted < n {
+			heap.Push(&h, wake{t: c.Res.Done + ld.ThinkMs, client: clientOf[c.Seq]})
 		}
 	}
 	for len(out) < n {
@@ -305,7 +303,7 @@ func runClosed(q *sched.Queue, g *gen, n int, ld Load) ([]sched.Completion, erro
 				}
 				return nil, fmt.Errorf("driver: closed loop stalled with %d of %d complete", len(out), n)
 			}
-			fold(q.TakeCompleted())
+			q.ConsumeCompleted(fold)
 			continue
 		}
 		// Commit the next decision only if it provably precedes the
@@ -320,7 +318,7 @@ func runClosed(q *sched.Queue, g *gen, n int, ld Load) ([]sched.Completion, erro
 				}
 				return nil, fmt.Errorf("driver: closed loop stalled with %d of %d complete", len(out), n)
 			}
-			fold(q.TakeCompleted())
+			q.ConsumeCompleted(fold)
 			continue
 		}
 		w := heap.Pop(&h).(wake)
@@ -332,7 +330,7 @@ func runClosed(q *sched.Queue, g *gen, n int, ld Load) ([]sched.Completion, erro
 			return nil, err
 		}
 		submitted++
-		fold(q.TakeCompleted())
+		q.ConsumeCompleted(fold)
 	}
 	return out, nil
 }
